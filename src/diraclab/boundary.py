@@ -354,11 +354,17 @@ def _sector(sol: RadialMode) -> tuple[Mode, int, float, float]:
 
 
 def _angular_factor(delta: float, n: int) -> complex:
-    """Trapezoid quadrature of exp(i*delta*x) over [0, 2pi) with n nodes."""
-    total = 0.0 + 0.0j
-    for j in range(n):
-        total += np.exp(1j * delta * (2.0 * math.pi * j / n))
-    return total * (2.0 * math.pi / n)
+    """Trapezoid quadrature of exp(i*delta*x) over [0, 2pi) with n nodes.
+
+    The node values form a geometric sequence with ratio z = exp(2 pi i delta/n),
+    so they sum to (1 - z^n) / (1 - z) with z^n = exp(2 pi i delta), or to n
+    when z = 1.
+    """
+    ratio = delta / n
+    if ratio == round(ratio):
+        return complex(2.0 * math.pi)
+    z = complex(np.exp(2j * math.pi * ratio))
+    return (1.0 - complex(np.exp(2j * math.pi * delta))) / (1.0 - z) * (2.0 * math.pi / n)
 
 
 def green_check(
@@ -433,22 +439,22 @@ def green_check(
     rr = 0.5 * (R - r_lo) * nodes + 0.5 * (R + r_lo)
     ww = 0.5 * (R - r_lo) * weights
 
-    def rows(sol: RadialMode, r: float) -> tuple[complex, complex]:
-        _, k, alpha, sigma = _sector(sol)
-        c1, c2 = sol.value(r)
-        d1, d2 = sol.derivative(r)
-        c2, d2 = sigma * c2, sigma * d2
-        p, q = k - 0.5, k + 0.5
-        return (alpha * c1 + d2 + (q / r) * c2, -d1 + (p / r) * c1 - alpha * c2)
-
-    def comps(sol: RadialMode, r: float) -> tuple[complex, complex]:
+    def comps(sol: RadialMode, r) -> tuple:
         _, _, _, sigma = _sector(sol)
         c1, c2 = sol.value(r)
         return (c1, sigma * c2)
 
-    # radial caches
-    cache_v = [(np.array([comps(s, r) for r in rr]), np.array([rows(s, r) for r in rr])) for s in v]
-    cache_w = [(np.array([comps(s, r) for r in rr]), np.array([rows(s, r) for r in rr])) for s in w]
+    def radial_cache(sol: RadialMode) -> tuple[tuple, tuple]:
+        """Component values and first-slot Dirac rows on the radial nodes."""
+        _, k, alpha, sigma = _sector(sol)
+        c1, c2 = comps(sol, rr)
+        d1, d2 = sol.derivative(rr)
+        d2 = sigma * d2
+        p, q = k - 0.5, k + 0.5
+        return (c1, c2), (alpha * c1 + d2 + (q / rr) * c2, -d1 + (p / rr) * c1 - alpha * c2)
+
+    cache_v = [radial_cache(s) for s in v]
+    cache_w = [radial_cache(s) for s in w]
 
     residual = 0.0 + 0.0j
     for i, si in enumerate(v):
@@ -466,10 +472,10 @@ def green_check(
             Cv, Dv = cache_v[i]
             Cw, Dw = cache_w[j]
             integrand = (
-                Dv[:, 0] * np.conj(Cw[:, 0])
-                + Dv[:, 1] * np.conj(Cw[:, 1])
-                - Cv[:, 0] * np.conj(Dw[:, 0])
-                - Cv[:, 1] * np.conj(Dw[:, 1])
+                Dv[0] * np.conj(Cw[0])
+                + Dv[1] * np.conj(Cw[1])
+                - Cv[0] * np.conj(Dw[0])
+                - Cv[1] * np.conj(Dw[1])
             )
             vol = complex(np.sum(ww * rr * integrand))
 

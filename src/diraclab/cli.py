@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -78,7 +79,10 @@ def _parse_poly(entries: list, dim: int, where: str) -> dict:
         mode = tuple(float(x) for x in entry["mode"])
         if len(mode) != dim:
             raise ConfigError(f"{where}: mode {mode} has wrong dimension (expected {dim})")
-        poly[mode] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        try:
+            poly[mode] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: coefficient of mode {mode} is not a number: {exc}") from exc
     return {k: v for k, v in poly.items() if v != 0}
 
 
@@ -100,6 +104,31 @@ def _parse_symbol(obj: dict, lattice: ModeLattice, rng: np.random.Generator | No
         d_plus=_parse_poly(obj.get("d_plus", []), dim, "symbol.d_plus"),
         d_minus=_parse_poly(obj.get("d_minus", []), dim, "symbol.d_minus"),
     )
+
+
+def _parse_run(config: dict, seed: int | None) -> tuple[ModeLattice, SymbolData, list[int], SubspaceTag, float]:
+    """Lattice, symbol, cutoffs, domain tag and SVD tolerance shared by `index` and `sweep`."""
+    lattice = _parse_lattice(config["lattice"])
+    rng = np.random.default_rng(seed) if seed is not None else None
+    symbol = _parse_symbol(config["symbol"], lattice, rng)
+    cutoffs = config.get("cutoffs")
+    if not isinstance(cutoffs, list):
+        raise ConfigError(f"'cutoffs' must be a list of integers, got {cutoffs!r}")
+    try:
+        cutoffs = [int(n) for n in cutoffs]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'cutoffs' must be a list of integers: {exc}") from exc
+    try:
+        tag = SubspaceTag(config.get("domain", "ExpMinus"))
+    except ValueError as exc:
+        raise ConfigError(f"unknown domain {config['domain']!r}; known: {[t.value for t in SubspaceTag]}") from exc
+    try:
+        tol = float(config.get("tol_rel", 1e-8))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'tol_rel' must be a number: {exc}") from exc
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"'tol_rel' must be positive and finite, got {tol}")
+    return lattice, symbol, cutoffs, tag, tol
 
 
 def _write_atomic(path: str, data: str) -> None:
@@ -161,12 +190,7 @@ def cmd_index(config: dict, out: str | None, seed: int | None) -> int:
          "expect_index_real", "expect_index_complex", "dump_matrices"},
         "index config",
     )
-    lattice = _parse_lattice(config["lattice"])
-    rng = np.random.default_rng(seed) if seed is not None else None
-    symbol = _parse_symbol(config["symbol"], lattice, rng)
-    cutoffs = [int(n) for n in config["cutoffs"]]
-    tag = SubspaceTag(config.get("domain", "ExpMinus"))
-    tol = float(config.get("tol_rel", 1e-8))
+    lattice, symbol, cutoffs, tag, tol = _parse_run(config, seed)
     report = stabilized_index(symbol, lattice, cutoffs, tag, tol_rel=tol)
 
     result = report.to_dict()
@@ -256,14 +280,9 @@ def cmd_ledger(config: dict, out: str | None) -> int:
 
 def cmd_sweep(config: dict, out: str | None, seed: int | None) -> int:
     _check_keys(config, {"lattice", "symbol", "cutoffs", "domain", "tol_rel", "seed"}, "sweep config")
-    cutoffs = [int(n) for n in config.get("cutoffs", [])]
+    lattice, symbol, cutoffs, tag, tol = _parse_run(config, seed)
     if len(cutoffs) < 2:
         raise ConfigError("sweep needs at least 2 cutoffs")
-    lattice = _parse_lattice(config["lattice"])
-    rng = np.random.default_rng(seed) if seed is not None else None
-    symbol = _parse_symbol(config["symbol"], lattice, rng)
-    tag = SubspaceTag(config.get("domain", "ExpMinus"))
-    tol = float(config.get("tol_rel", 1e-8))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["cutoff", "dim_ker", "dim_coker", "index_real", "gap"])

@@ -28,8 +28,6 @@ a spectral gap of at least 1e3 around the rank threshold.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +116,10 @@ class SymbolData:
     def require_nondegenerate(self, n: int = NONDEGENERACY_GRID) -> None:
         if getattr(self, "_nondegenerate_grid", 0) >= n:
             return
+        if not np.all(np.isfinite(list(self.d_plus.values()) + list(self.d_minus.values()))):
+            raise DomainError("symbol coefficients must be finite")
         lo, point = self.nondegeneracy_minimum(n)
-        if lo <= 0.0:
+        if not lo > 0.0:  # also rejects a NaN minimum
             raise DomainError(
                 f"symbol violates |d+|^2 + |d-|^2 > 0 at sample point {point}"
             )
@@ -502,14 +502,6 @@ class IndexReport:
         }
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("DIRACLAB_MAX_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def stabilized_index(
     symbol: SymbolData,
     lattice: ModeLattice,
@@ -528,15 +520,7 @@ def stabilized_index(
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise DomainError("cutoffs must be strictly increasing")
 
-    def run(n: int) -> CutoffIndex:
-        return numerical_index(build_T(symbol, lattice, n, domain_tag), tol_rel, cutoff=n)
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_cutoff = list(pool.map(run, cutoffs))
-    else:
-        per_cutoff = [run(n) for n in cutoffs]
+    per_cutoff = [numerical_index(build_T(symbol, lattice, n, domain_tag), tol_rel, cutoff=n) for n in cutoffs]
 
     tail = [c.index_real for c in per_cutoff[-3:]]
     stable = (

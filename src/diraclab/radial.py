@@ -35,7 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import DomainError, NumericError
 from .lattice import Mode, generalized_sign
 
 SERIES_RELATIVE_TOL = 1e-16
@@ -44,83 +46,123 @@ SERIES_MAX_TERMS = 10_000
 SUPPORTED_AR = 50.0
 
 
-def _require_half_integer_order(p: float) -> None:
-    if abs(2.0 * p - round(2.0 * p)) > 1e-12 or round(2.0 * p) % 2 == 0:
+def _require_half_integer_order(p) -> None:
+    twice = 2.0 * np.asarray(p, dtype=float)
+    nearest = np.round(twice)
+    if np.any(np.abs(twice - nearest) > 1e-12) or np.any(nearest % 2 == 0):
         raise DomainError(f"order must be a half-odd integer k +/- 1/2, got {p}")
 
 
-def bessel_series(p: float, a: float, r: float) -> float:
+def _require_positive(what: str, x: np.ndarray) -> None:
+    if np.any(x <= 0.0):
+        raise DomainError(f"{what} must be positive, got {np.min(x)}")
+
+
+def _out(x):
+    """A Python scalar for a 0-d result, the array otherwise."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
+def bessel_series(p, a: float, r):
     """Evaluate J[p, a](r) by direct series summation.
 
-    Terms are generated by the exact recurrence
-    ``t_{n+1} = t_n (ar/2)^2 / ((n+1)(n+p+1))`` so no intermediate
-    factorial or Gamma value can overflow.  Summation stops once the next
-    term drops below ``1e-16`` of the partial sum (with a tiny absolute
-    floor); more than 10000 terms raises, which signals an ``a r`` far
+    ``r`` is a scalar or an array, and ``p`` broadcasts against it; scalar
+    inputs give a Python float.  Terms are generated by the exact
+    recurrence ``t_{n+1} = t_n (ar/2)^2 / ((n+1)(n+p+1))`` so no
+    intermediate factorial or Gamma value can overflow.  Each entry stops
+    summing once its next term drops below ``1e-16`` of its partial sum
+    (with a tiny absolute floor) and stays frozen from then on; an entry
+    still summing after 10000 terms raises, which signals an ``a r`` far
     outside the supported range.
     """
     _require_half_integer_order(p)
-    if r <= 0.0:
-        raise DomainError(f"radius must be positive, got {r}")
+    p = np.asarray(p, dtype=float)
+    r = np.asarray(r, dtype=float)
+    _require_positive("radius", r)
     if a < 0.0:
         raise DomainError(f"eigenvalue must be nonnegative, got {a}")
     if a == 0.0:
-        return r**p
-    x = a * r
-    half = 0.5 * x
-    term = half**p / math.gamma(p + 1.0)
-    total = term
-    for n in range(SERIES_MAX_TERMS):
-        term *= half * half / ((n + 1.0) * (n + p + 1.0))
-        total += term
-        if abs(term) < SERIES_RELATIVE_TOL * abs(total) + SERIES_ABSOLUTE_FLOOR:
-            return a ** (-p) * total
-    raise_from = f"series for J[{p}, {a}]({r}) did not converge in {SERIES_MAX_TERMS} terms"
-    from .errors import NumericError
+        return _out(r**p)
+    half = 0.5 * (a * r)
+    half_sq = half * half
+    gamma = np.array([math.gamma(v) for v in (p + 1.0).flat]).reshape(p.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum never converges
+        term = half**p / gamma
+        total = term.copy()
+        active = np.ones(term.shape, dtype=bool)
+        for n in range(SERIES_MAX_TERMS):
+            term *= half_sq / ((n + 1.0) * (n + p + 1.0))
+            total += np.where(active, term, 0.0)
+            active &= ~(np.abs(term) < SERIES_RELATIVE_TOL * np.abs(total) + SERIES_ABSOLUTE_FLOOR)
+            if not active.any():
+                return _out(a ** (-p) * total)
+    i = np.unravel_index(np.argmax(active), active.shape)
+    p_i, r_i = np.broadcast_to(p, active.shape)[i], np.broadcast_to(r, active.shape)[i]
+    raise NumericError(f"series for J[{p_i}, {a}]({r_i}) did not converge in {SERIES_MAX_TERMS} terms")
 
-    raise NumericError(raise_from)
 
-
-def bessel_series_prime(p: float, a: float, r: float) -> float:
+def bessel_series_prime(p, a: float, r):
     """d/dr of J[p, a](r), via the exact ladder J[p]' = J[p-1] - (p/r) J[p]."""
+    p = np.asarray(p, dtype=float)
+    r = np.asarray(r, dtype=float)
     if a == 0.0:
-        if r <= 0.0:
-            raise DomainError(f"radius must be positive, got {r}")
-        return p * r ** (p - 1.0)
-    return bessel_series(p - 1.0, a, r) - (p / r) * bessel_series(p, a, r)
+        _require_positive("radius", r)
+        return _out(p * r ** (p - 1.0))
+    return _out(bessel_series(p - 1.0, a, r) - (p / r) * bessel_series(p, a, r))
 
 
-def modified_bessel_k_half(p: float, x: float) -> float:
+def modified_bessel_k_half(p, x):
     """K_p(x) for half-odd-integer order, by its finite closed form.
 
-    K is even in the order, and for p = m + 1/2 with m >= 0:
+    ``x`` is a scalar or an array, and ``p`` broadcasts against it.  K is
+    even in the order, and for p = m + 1/2 with m >= 0:
 
         K_{m+1/2}(x) = sqrt(pi/(2x)) e^{-x} sum_{j<=m} (m+j)! / (j!(m-j)! (2x)^j)
     """
     _require_half_integer_order(p)
-    if x <= 0.0:
-        raise DomainError(f"argument must be positive, got {x}")
-    m = int(round(abs(p) - 0.5))
-    s = 0.0
-    for j in range(m + 1):
-        s += math.factorial(m + j) / (math.factorial(j) * math.factorial(m - j) * (2.0 * x) ** j)
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * s
+    x = np.asarray(x, dtype=float)
+    _require_positive("argument", x)
+    m = np.rint(np.abs(np.asarray(p, dtype=float)) - 0.5).astype(int)
+    m_max = int(m.max())
+    s = np.zeros(np.broadcast(m, x).shape)
+    for j in range(m_max + 1):
+        # (m+j)! and j!(m-j)! per order m, zero numerator where j > m
+        num = np.array([float(math.factorial(mm + j)) if mm >= j else 0.0 for mm in range(m_max + 1)])
+        den = np.array([float(math.factorial(j) * math.factorial(mm - j)) if mm >= j else 1.0
+                        for mm in range(m_max + 1)])
+        s += num[m] / (den[m] * (2.0 * x) ** j)
+    return _out(np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) * s)
 
 
-def modified_bessel_k_half_prime(p: float, x: float) -> float:
+def modified_bessel_k_half_prime(p, x):
     """d/dx K_p(x) = -(K_{p-1}(x) + K_{p+1}(x)) / 2 for half-odd-integer p."""
-    return -0.5 * (modified_bessel_k_half(p - 1.0, x) + modified_bessel_k_half(p + 1.0, x))
+    p = np.asarray(p, dtype=float)
+    return _out(-0.5 * (modified_bessel_k_half(p - 1.0, x) + modified_bessel_k_half(p + 1.0, x)))
 
 
-def radial_rhs(
-    k: int, a: float, U: tuple[float, float], r: float
-) -> tuple[float, float]:
-    """Right-hand side of the separated radial system at (k, a)."""
-    if r <= 0.0:
-        raise DomainError(f"radius must be positive, got {r}")
+def radial_rhs(k: int, a: float, U: tuple, r) -> tuple:
+    """Right-hand side of the separated radial system at (k, a); r may be an array."""
+    _require_positive("radius", np.asarray(r))
     p = k - 0.5
     q = k + 0.5
     return ((p / r) * U[0] - a * U[1], -a * U[0] - (q / r) * U[1])
+
+
+def _branch_orders(k: int, ndim: int) -> np.ndarray:
+    """The orders (k-1/2, -(k+1/2), -(k-1/2), k+1/2) on a leading axis, ready to broadcast."""
+    p = k - 0.5
+    q = k + 0.5
+    return np.array([p, -q, -p, q]).reshape((4,) + (1,) * ndim)
+
+
+def branch_block(k: int, a: float, r) -> np.ndarray:
+    """J at the four branch orders of (k, a), stacked on a new leading axis.
+
+    Every series solution at (k, a) is a combination of these four rows, so
+    one block serves any number of coefficient pairs (see ``RadialMode.value``).
+    """
+    return bessel_series(_branch_orders(k, np.ndim(r)), a, r)
 
 
 GROWTH_GROWING = "growing"
@@ -158,41 +200,40 @@ class RadialMode:
     _kind: str = field(default=_KIND_SERIES, repr=False)
     _scale: complex = field(default=1.0 + 0.0j, repr=False)
 
-    def value(self, r: float) -> tuple[complex, complex]:
-        """Component pair (U+(r), U-(r))."""
-        p = self.k - 0.5
-        q = self.k + 0.5
-        if self._kind == _KIND_DECAY:
-            x = self.a * r
-            pref = self._scale * (2.0 / math.pi) * (-1.0) ** self.k
-            return (
-                pref * modified_bessel_k_half(p, x),
-                pref * modified_bessel_k_half(q, x),
-            )
-        c1 = self.u_plus * bessel_series(p, self.a, r)
-        c2 = self.u_minus * bessel_series(-q, self.a, r)
-        if self.a > 0.0:
-            c1 += self.u_minus * (-self.a) * bessel_series(-p, self.a, r)
-            c2 += self.u_plus * (-self.a) * bessel_series(q, self.a, r)
-        return (c1, c2)
+    def value(self, r, block: np.ndarray | None = None) -> tuple:
+        """Component pair (U+(r), U-(r)) at a scalar or an array of radii.
 
-    def derivative(self, r: float) -> tuple[complex, complex]:
-        """Exact d/dr of the component pair."""
-        p = self.k - 0.5
-        q = self.k + 0.5
+        Series solutions accept a precomputed ``branch_block(k, a, r)`` so that
+        several solutions at one (k, a) share one evaluation; the decaying
+        representation ignores it.
+        """
         if self._kind == _KIND_DECAY:
-            x = self.a * r
+            pref = self._scale * (2.0 / math.pi) * (-1.0) ** self.k
+            return self._decay_pair(modified_bessel_k_half, pref, r)
+        if block is None:
+            block = branch_block(self.k, self.a, r)
+        return self._combine(block)
+
+    def derivative(self, r) -> tuple:
+        """Exact d/dr of the component pair, at a scalar or an array of radii."""
+        if self._kind == _KIND_DECAY:
             pref = self._scale * (2.0 / math.pi) * (-1.0) ** self.k * self.a
-            return (
-                pref * modified_bessel_k_half_prime(p, x),
-                pref * modified_bessel_k_half_prime(q, x),
-            )
-        d1 = self.u_plus * bessel_series_prime(p, self.a, r)
-        d2 = self.u_minus * bessel_series_prime(-q, self.a, r)
+            return self._decay_pair(modified_bessel_k_half_prime, pref, r)
+        return self._combine(bessel_series_prime(_branch_orders(self.k, np.ndim(r)), self.a, r))
+
+    def _decay_pair(self, fn, pref: complex, r) -> tuple:
+        x = self.a * np.asarray(r, dtype=float)
+        return (_out(pref * fn(self.k - 0.5, x)), _out(pref * fn(self.k + 0.5, x)))
+
+    def _combine(self, block: np.ndarray) -> tuple:
+        """(U+, U-) from the four branch rows (values or r-derivatives)."""
+        j_p, j_mq, j_mp, j_q = block
+        c1 = self.u_plus * j_p
+        c2 = self.u_minus * j_mq
         if self.a > 0.0:
-            d1 += self.u_minus * (-self.a) * bessel_series_prime(-p, self.a, r)
-            d2 += self.u_plus * (-self.a) * bessel_series_prime(q, self.a, r)
-        return (d1, d2)
+            c1 = c1 + self.u_minus * (-self.a) * j_mp
+            c2 = c2 + self.u_plus * (-self.a) * j_q
+        return (_out(c1), _out(c2))
 
     def small_r_exponents(self) -> list[tuple[float, complex, int]]:
         """Leading powers of r with coefficients, as (exponent, coeff, component)."""

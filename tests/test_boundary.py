@@ -26,7 +26,7 @@ from diraclab import (
     project,
     split,
 )
-from diraclab.boundary import random_field
+from diraclab.boundary import _angular_factor, random_field
 from diraclab.radial import RadialMode, decaying_solution
 
 LAT1 = ModeLattice(dim_link=1, offset_t=0.5, cutoff=4)
@@ -287,3 +287,22 @@ def test_serialization_includes_zero_mode_and_policy():
     Y = field_from_json(field_to_json(X))
     assert Y == X
     assert Y.lattice.zero_mode_policy == lat.zero_mode_policy
+
+
+def _trapezoid_loop(delta, n):
+    """Reference: the node-by-node trapezoid sum of exp(i*delta*x) over [0, 2pi)."""
+    total = 0.0 + 0.0j
+    for j in range(n):
+        total += np.exp(1j * delta * (2.0 * math.pi * j / n))
+    return total * (2.0 * math.pi / n)
+
+
+@pytest.mark.parametrize("n", [3, 5, 19, 35])
+def test_angular_factor_closed_form_matches_node_sum(n):
+    for twice in range(-80, 81):  # integer and half-integer delta, multiples of n included
+        delta = twice / 2.0
+        got = _angular_factor(delta, n)
+        ref = _trapezoid_loop(delta, n)
+        assert abs(got - ref) < 1e-13, (delta, n, got, ref)
+        if delta % n == 0:
+            assert got == 2.0 * math.pi

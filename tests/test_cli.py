@@ -234,3 +234,53 @@ def test_cmd_index_unstable_exits_2(tmp_path, capsys):
     assert main(["index", "--config", cfg, "--out", str(out)]) == 2
     assert load_report(out)["result"]["verdict"] == "unstable"
     assert "unstable" in capsys.readouterr().err
+
+
+def _run_expect_input_error(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path / "cfg.json", config)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["index", "sweep"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_symbol_coefficient_is_input_error(tmp_path, capsys, command, bad):
+    config = dict(INDEX_3D, symbol={"d_plus": [{"mode": [1.0], "re": 1.0, "im": bad}],
+                                    "d_minus": [{"mode": [0.0], "re": 1.0}]})
+    config.pop("expect_index_real")
+    err = _run_expect_input_error(tmp_path, capsys, command, config)
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("command", ["index", "sweep"])
+@pytest.mark.parametrize("cutoffs", ["abc", ["8", "x"], None])
+def test_malformed_cutoffs_are_input_error(tmp_path, capsys, command, cutoffs):
+    config = dict(INDEX_3D, cutoffs=cutoffs)
+    config.pop("expect_index_real")
+    err = _run_expect_input_error(tmp_path, capsys, command, config)
+    assert "cutoffs" in err
+
+
+@pytest.mark.parametrize("command", ["index", "sweep"])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf"), "abc"])
+def test_bad_tol_rel_is_input_error(tmp_path, capsys, command, tol):
+    config = dict(INDEX_3D, tol_rel=tol)
+    config.pop("expect_index_real")
+    err = _run_expect_input_error(tmp_path, capsys, command, config)
+    assert "tol_rel" in err
+
+
+@pytest.mark.parametrize("command", ["index", "sweep"])
+def test_unknown_domain_is_input_error(tmp_path, capsys, command):
+    config = dict(INDEX_3D, domain="Bogus")
+    config.pop("expect_index_real")
+    err = _run_expect_input_error(tmp_path, capsys, command, config)
+    assert "Bogus" in err
+
+
+def test_non_numeric_symbol_coefficient_is_input_error(tmp_path, capsys):
+    config = dict(INDEX_3D, symbol={"d_minus": [{"mode": [0.0], "re": "abc"}]})
+    _run_expect_input_error(tmp_path, capsys, "index", config)

@@ -16,7 +16,15 @@ from diraclab import (
     modified_bessel_k_half,
     radial_rhs,
 )
-from diraclab.radial import GROWTH_DECAYING, GROWTH_GROWING, GROWTH_POLYNOMIAL, bessel_series_prime
+from diraclab.radial import (
+    GROWTH_DECAYING,
+    GROWTH_GROWING,
+    GROWTH_POLYNOMIAL,
+    SUPPORTED_AR,
+    bessel_series_prime,
+    branch_block,
+    modified_bessel_k_half_prime,
+)
 
 
 def closed_form_half(a, r):
@@ -249,3 +257,121 @@ def test_trace_coefficients_of_radial_solutions():
     assert got[1] == pytest.approx(pref, rel=1e-13)
     with pytest.raises(DomainError):
         decaying_solution(2, 1.0).r_minus_half_coefficients()
+
+
+# ---------------------------------------------------------------------------
+# array-valued evaluation
+
+RADII = np.linspace(0.05, 2.0, 50)
+ARRAY_ORDERS = [s * (j + 0.5) for j in range(9) for s in (-1, 1)]  # +-1/2 ... +-17/2
+
+
+def _rel(x, y):
+    return abs(x - y) / abs(y) if y != 0 else abs(x)
+
+
+def _series_loop(p, a, r):
+    """Reference: the term-by-term scalar series in plain Python floats."""
+    if a == 0.0:
+        return r**p
+    half = 0.5 * (a * r)
+    term = half**p / math.gamma(p + 1.0)
+    total = term
+    for n in range(10_000):
+        term *= half * half / ((n + 1.0) * (n + p + 1.0))
+        total += term
+        if abs(term) < 1e-16 * abs(total) + 1e-300:
+            return a ** (-p) * total
+    raise AssertionError("reference series did not converge")
+
+
+def _k_half_loop(p, x):
+    """Reference: the half-odd-order K closed form in plain Python floats."""
+    m = int(round(abs(p) - 0.5))
+    s = 0.0
+    for j in range(m + 1):
+        s += math.factorial(m + j) / (math.factorial(j) * math.factorial(m - j) * (2.0 * x) ** j)
+    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * s
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 3.5, 8.0])
+def test_bessel_series_array_matches_scalar(a):
+    worst = 0.0
+    for p in ARRAY_ORDERS:
+        got = bessel_series(p, a, RADII)
+        assert got.shape == RADII.shape
+        for r, v in zip(RADII, got):
+            worst = max(worst, _rel(v, bessel_series(p, a, float(r))), _rel(v, _series_loop(p, a, float(r))))
+    # orders broadcast against the radii in one call
+    block = bessel_series(np.array(ARRAY_ORDERS)[:, None], a, RADII)
+    for i, p in enumerate(ARRAY_ORDERS):
+        for r, v in zip(RADII, block[i]):
+            worst = max(worst, _rel(v, bessel_series(p, a, float(r))))
+    assert worst <= 1e-15
+
+
+def test_series_prime_and_k_half_array_match_scalar():
+    worst = 0.0
+    for p in ARRAY_ORDERS:
+        for a in (0.0, 1.0, 3.5):
+            got = bessel_series_prime(p, a, RADII)
+            worst = max(worst, max(_rel(v, bessel_series_prime(p, a, float(r))) for r, v in zip(RADII, got)))
+        x = 4.0 * RADII
+        got = modified_bessel_k_half(p, x)
+        worst = max(worst, max(_rel(v, _k_half_loop(p, float(xi))) for xi, v in zip(x, got)))
+        for fn in (modified_bessel_k_half, modified_bessel_k_half_prime):
+            got = fn(p, x)
+            worst = max(worst, max(_rel(v, fn(p, float(xi))) for xi, v in zip(x, got)))
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("sol", [
+    assemble_solution(2, 1.5, 1.0, 0.3 - 0.2j),  # growing
+    assemble_solution(-3, 0.0, 0.4, 1.1j),  # polynomial
+    assemble_solution(1, 2.0, 0.0, 1.0),  # mirrored branch only
+    decaying_solution(-2, 3.5),  # decaying
+    assemble_solution(0, 1.0, 1.0, 1.0),  # rerouted onto the decaying ray
+], ids=["growing", "polynomial", "mirrored", "decaying", "rerouted"])
+def test_radial_mode_array_matches_scalar(sol):
+    for method in (sol.value, sol.derivative):
+        arr = method(RADII)
+        for i, r in enumerate(RADII):
+            scalar = method(float(r))
+            for comp in (0, 1):
+                assert _rel(arr[comp][i], scalar[comp]) <= 1e-15
+    # a shared branch block gives the same values as a fresh evaluation
+    if sol.growth != GROWTH_DECAYING:
+        shared = sol.value(RADII, block=branch_block(sol.k, sol.a, RADII))
+        assert all(np.array_equal(x, y) for x, y in zip(shared, sol.value(RADII)))
+
+
+def test_scalar_in_scalar_out():
+    assert type(bessel_series(0.5, 1.0, 0.7)) is float
+    assert type(bessel_series(0.5, 0.0, 0.7)) is float
+    assert type(bessel_series(0.5, 1.0, np.float64(0.7))) is float
+    assert type(bessel_series_prime(-1.5, 1.0, 0.7)) is float
+    assert type(modified_bessel_k_half(2.5, 0.7)) is float
+    assert type(modified_bessel_k_half_prime(2.5, 0.7)) is float
+    for sol in (assemble_solution(1, 2.0, 1.0, 0.5), decaying_solution(1, 2.0)):
+        assert all(type(c) is complex for c in sol.value(0.7) + sol.derivative(0.7))
+
+
+def test_array_with_one_nonpositive_radius_raises():
+    for bad in (0.0, -0.3):
+        r = RADII.copy()
+        r[17] = bad
+        with pytest.raises(DomainError):
+            bessel_series(0.5, 1.0, r)
+        with pytest.raises(DomainError):
+            bessel_series(0.5, 0.0, r)
+        with pytest.raises(DomainError):
+            modified_bessel_k_half(0.5, r)
+        with pytest.raises(DomainError):
+            assemble_solution(0, 1.0, 1.0, 0.2).value(r)
+
+
+def test_array_with_one_entry_outside_supported_range_raises():
+    r = RADII.copy()
+    r[3] = 200.0 * SUPPORTED_AR
+    with pytest.raises(NumericError):
+        bessel_series(0.5, 1.0, r)
