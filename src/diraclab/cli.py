@@ -58,6 +58,13 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _require_object(config: dict, key: str) -> dict:
+    obj = config.get(key)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"run config needs a {key!r} object, got {obj!r}")
+    return obj
+
+
 def _parse_lattice(obj: dict) -> ModeLattice:
     _check_keys(obj, {"dim_link", "offset_t", "offset_s", "cutoff", "zero_mode_policy"}, "lattice")
     try:
@@ -70,13 +77,24 @@ def _parse_lattice(obj: dict) -> ModeLattice:
         )
     except KeyError as exc:
         raise ConfigError(f"lattice config missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"lattice config has a malformed value: {exc}") from exc
 
 
 def _parse_poly(entries: list, dim: int, where: str) -> dict:
+    if not isinstance(entries, list):
+        raise ConfigError(f"{where} must be a list of mode objects, got {entries!r}")
     poly = {}
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where}: entry {entry!r} is not an object with 'mode', 're', 'im'")
         _check_keys(entry, {"mode", "re", "im"}, where)
-        mode = tuple(float(x) for x in entry["mode"])
+        try:
+            mode = tuple(float(x) for x in entry["mode"])
+        except KeyError as exc:
+            raise ConfigError(f"{where}: entry {entry!r} has no 'mode'") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: mode of entry {entry!r} is not a list of numbers: {exc}") from exc
         if len(mode) != dim:
             raise ConfigError(f"{where}: mode {mode} has wrong dimension (expected {dim})")
         try:
@@ -108,9 +126,9 @@ def _parse_symbol(obj: dict, lattice: ModeLattice, rng: np.random.Generator | No
 
 def _parse_run(config: dict, seed: int | None) -> tuple[ModeLattice, SymbolData, list[int], SubspaceTag, float]:
     """Lattice, symbol, cutoffs, domain tag and SVD tolerance shared by `index` and `sweep`."""
-    lattice = _parse_lattice(config["lattice"])
+    lattice = _parse_lattice(_require_object(config, "lattice"))
     rng = np.random.default_rng(seed) if seed is not None else None
-    symbol = _parse_symbol(config["symbol"], lattice, rng)
+    symbol = _parse_symbol(_require_object(config, "symbol"), lattice, rng)
     cutoffs = config.get("cutoffs")
     if not isinstance(cutoffs, list):
         raise ConfigError(f"'cutoffs' must be a list of integers, got {cutoffs!r}")

@@ -20,6 +20,15 @@ matched window reproduces the structural count (for a separated zero mode
 the codomain keeps its shadow, which is the whole source of the nonzero
 index in the trivial-offset torus model).
 
+Rank decision.  The rank is decided per decoupled block: the connected
+components of the matrix's nonzero pattern (rows and columns joined by
+nonzero entries) are ranked by separate SVDs.  This is exact, since the
+matrix is a row and column permutation of a block-diagonal matrix and the
+singular values of such a matrix are the union of its blocks' values.  The
+minimal exponential torus symbols split into 1x1 or 2x2 blocks; symbols
+that couple every mode, such as random circle-link symbols with a
+bandwidth, form one block and take a single dense SVD.
+
 Stabilization is evidence, not proof: an index is only claimed when the
 real index agrees across the last three cutoffs and every truncation shows
 a spectral gap of at least 1e3 around the rank threshold.
@@ -59,6 +68,24 @@ def _poly_offsets(poly: TrigPoly, dim: int) -> tuple[float, ...] | None:
     return offs
 
 
+def _double_cover_grid(n: int) -> np.ndarray:
+    return 4.0 * math.pi * np.arange(n) / n
+
+
+def _poly_values(poly: TrigPoly, dim: int, n: int) -> np.ndarray:
+    """Pointwise values on the n-per-axis double-cover grid [0, 4pi)^dim."""
+    xs = _double_cover_grid(n)
+    if dim == 1:
+        out = np.zeros(n, dtype=complex)
+        for (l,), c in poly.items():
+            out += c * np.exp(1j * l * xs)
+        return out
+    out = np.zeros((n, n), dtype=complex)
+    for (l, m), c in poly.items():
+        out += c * np.outer(np.exp(1j * l * xs), np.exp(1j * m * xs))
+    return out
+
+
 @dataclass(frozen=True)
 class SymbolData:
     """Trigonometric-polynomial symbol pair on the link.
@@ -91,23 +118,10 @@ class SymbolData:
         mags = [abs(c) for key in list(self.d_plus) + list(self.d_minus) for c in key]
         return max(mags) if mags else 0.0
 
-    def _values_on_grid(self, poly: TrigPoly, n: int) -> np.ndarray:
-        """Pointwise values on the n-per-axis double-cover grid [0, 4pi)^dim."""
-        xs = 4.0 * math.pi * np.arange(n) / n
-        if self.dim == 1:
-            out = np.zeros(n, dtype=complex)
-            for (l,), c in poly.items():
-                out += c * np.exp(1j * l * xs)
-            return out
-        out = np.zeros((n, n), dtype=complex)
-        for (l, m), c in poly.items():
-            out += c * np.outer(np.exp(1j * l * xs), np.exp(1j * m * xs))
-        return out
-
     def nondegeneracy_minimum(self, n: int = NONDEGENERACY_GRID) -> tuple[float, tuple[float, ...]]:
         """Minimum of |d+|^2 + |d-|^2 on the sample grid, with its location."""
-        dp = self._values_on_grid(self.d_plus, n)
-        dm = self._values_on_grid(self.d_minus, n)
+        dp = _poly_values(self.d_plus, self.dim, n)
+        dm = _poly_values(self.d_minus, self.dim, n)
         dens = np.abs(dp) ** 2 + np.abs(dm) ** 2
         idx = np.unravel_index(int(np.argmin(dens)), dens.shape)
         point = tuple(4.0 * math.pi * i / n for i in idx)
@@ -232,23 +246,20 @@ def _axis_window(
     lo = min(i[0] for i in intervals)
     hi = max(i[1] for i in intervals)
 
-    def covered(x: float) -> bool:
-        return any(a - 1e-9 <= x <= b + 1e-9 for a, b in intervals)
-
+    # candidate windows start at first, first + 1, ... up to hi + 1; their
+    # scores are differences of a prefix sum of the covered mask
     first = math.ceil(lo - offset - length) + offset
-    best_key: tuple[float, float, float] | None = None
-    best: list[float] | None = None
-    start = first
-    while start <= hi + 1.0:
-        window = [start + j for j in range(length)]
-        score = sum(1 for x in window if covered(x))
-        center = (window[0] + window[-1]) / 2.0
-        key = (-score, abs(center), center)
-        if best_key is None or key < best_key:
-            best_key, best = key, window
-        start += 1.0
-    assert best is not None
-    return best
+    n_starts = math.floor(hi + 1.0 - first) + 1
+    xs = first + np.arange(n_starts + length - 1, dtype=float)
+    covered = np.zeros(xs.shape, dtype=bool)
+    for a, b in intervals:
+        covered |= (a - 1e-9 <= xs) & (xs <= b + 1e-9)
+    prefix = np.concatenate(([0], np.cumsum(covered)))
+    score = prefix[length:] - prefix[:n_starts]
+    starts = xs[:n_starts]
+    center = (starts + (starts + (length - 1))) / 2.0
+    best = float(starts[np.lexsort((center, np.abs(center), -score))[0]])
+    return [best + j for j in range(length)]
 
 
 def codomain_window(symbol: SymbolData, lattice: ModeLattice, N_dom: int) -> list[ModeKey]:
@@ -429,18 +440,85 @@ class CutoffIndex:
         }
 
 
+def _block_labels(nonzero: np.ndarray) -> np.ndarray:
+    """Connected-component labels of the rows, then the columns, of a pattern.
+
+    Rows are nodes ``0..R-1`` and columns nodes ``R..R+C-1`` of a bipartite
+    graph with one edge per nonzero entry.  Labels start as node indices and
+    only ever decrease to a label of the same component: each round hooks
+    both ends of every edge, and the labels of those ends, to the smaller of
+    the two ends' labels, then follows labels to their roots (pointer
+    jumping).  At the fixed point every edge joins equal labels, so each node
+    carries the smallest node index of its component.
+    """
+    rows, cols = nonzero.shape
+    u, v = np.nonzero(nonzero)
+    v = v + rows
+    labels = np.arange(rows + cols)
+    while True:
+        low = np.minimum(labels[u], labels[v])
+        new = labels.copy()
+        for ends in (u, v, labels[u], labels[v]):
+            np.minimum.at(new, ends, low)
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _block_singular_values(matrix: np.ndarray) -> np.ndarray:
+    """All ``min(rows, cols)`` singular values of ``matrix``, in descending order.
+
+    The matrix is a row and column permutation of a block-diagonal matrix
+    whose blocks are the connected components of its nonzero pattern, so its
+    singular values are the union of the blocks' values, padded with exact
+    zeros for the structurally empty rows and columns.  Blocks of one shape
+    share one batched SVD.  A single component covering every row and column
+    takes the dense SVD of the unpermuted matrix.
+    """
+    rows, cols = matrix.shape
+    labels = _block_labels(matrix != 0)
+    if not labels.any():
+        return np.linalg.svd(matrix, compute_uv=False)
+    row_labels, col_labels = labels[:rows], labels[rows:]
+    row_order = np.argsort(row_labels, kind="stable")
+    col_order = np.argsort(col_labels, kind="stable")
+    row_count = np.bincount(row_labels, minlength=rows + cols)
+    col_count = np.bincount(col_labels, minlength=rows + cols)
+    row_start = np.cumsum(row_count) - row_count
+    col_start = np.cumsum(col_count) - col_count
+    blocks = np.flatnonzero((row_count > 0) & (col_count > 0))
+    shapes = np.stack((row_count[blocks], col_count[blocks]), axis=1)
+    parts = [np.zeros(0)]
+    for r, c in np.unique(shapes, axis=0):
+        same = blocks[(shapes[:, 0] == r) & (shapes[:, 1] == c)]
+        block_rows = row_order[row_start[same][:, None] + np.arange(r)]
+        block_cols = col_order[col_start[same][:, None] + np.arange(c)]
+        stack = matrix[block_rows[:, :, None], block_cols[:, None, :]]
+        parts.append(np.linalg.svd(stack, compute_uv=False).ravel())
+    sigma = np.zeros(min(rows, cols))
+    merged = np.sort(np.concatenate(parts))[::-1]
+    sigma[: merged.size] = merged
+    return sigma
+
+
 def numerical_index(op: RealifiedOperator, tol_rel: float, cutoff: int = 0) -> CutoffIndex:
     """Kernel/cokernel dimensions of one truncation by thresholded SVD.
 
-    Singular values below ``tol_rel * sigma_max`` count as zero; the
-    spectral gap is the ratio of the last kept to the first dropped value
-    (or the distance of the smallest kept value to the threshold when
-    nothing is dropped).
+    The singular values come from :func:`_block_singular_values`, one SVD
+    per decoupled block.  Singular values below ``tol_rel * sigma_max``
+    count as zero; the spectral gap is the ratio of the last kept to the
+    first dropped value (or the distance of the smallest kept value to the
+    threshold when nothing is dropped).
     """
     matrix = op.matrix
     if matrix.size == 0:
         raise DomainError("cannot rank an empty operator")
-    sigma = np.linalg.svd(matrix, compute_uv=False)
+    sigma = _block_singular_values(matrix)
     sigma_max = float(sigma[0])
     if sigma_max == 0.0:
         raise DomainError("degenerate operator: all singular values vanish")
@@ -542,23 +620,6 @@ def stabilized_index(
 
 # ---------------------------------------------------------------------------
 # linearization correspondences
-
-
-def _double_cover_grid(n: int) -> np.ndarray:
-    return 4.0 * math.pi * np.arange(n) / n
-
-
-def _poly_values(poly: TrigPoly, dim: int, n: int) -> np.ndarray:
-    xs = _double_cover_grid(n)
-    if dim == 1:
-        out = np.zeros(n, dtype=complex)
-        for (l,), c in poly.items():
-            out += c * np.exp(1j * l * xs)
-        return out
-    out = np.zeros((n, n), dtype=complex)
-    for (l, m), c in poly.items():
-        out += c * np.outer(np.exp(1j * l * xs), np.exp(1j * m * xs))
-    return out
 
 
 def _project_values(
@@ -844,10 +905,7 @@ def winding_number(poly: TrigPoly, grid_n: int = 4096) -> float | None:
     for key in poly:
         if len(key) != 1:
             raise DomainError("winding numbers are only defined on a circle link")
-    xs = _double_cover_grid(grid_n)
-    vals = np.zeros(grid_n, dtype=complex)
-    for (l,), c in poly.items():
-        vals += c * np.exp(1j * l * xs)
+    vals = _poly_values(poly, 1, grid_n)
     if vals.size == 0 or np.min(np.abs(vals)) < 1e-9:
         return None
     phases = np.angle(vals)

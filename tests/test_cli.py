@@ -284,3 +284,30 @@ def test_unknown_domain_is_input_error(tmp_path, capsys, command):
 def test_non_numeric_symbol_coefficient_is_input_error(tmp_path, capsys):
     config = dict(INDEX_3D, symbol={"d_minus": [{"mode": [0.0], "re": "abc"}]})
     _run_expect_input_error(tmp_path, capsys, "index", config)
+
+
+@pytest.mark.parametrize("command", ["index", "sweep"])
+@pytest.mark.parametrize("key", ["lattice", "symbol"])
+def test_missing_lattice_or_symbol_is_input_error(tmp_path, capsys, command, key):
+    config = dict(INDEX_3D)
+    config.pop("expect_index_real")
+    config.pop(key)
+    err = _run_expect_input_error(tmp_path, capsys, command, config)
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("command", ["index", "sweep"])
+@pytest.mark.parametrize("d_minus", [[1], 1, [{"re": 1.0}], [{"mode": "ab", "re": 1.0}]])
+def test_malformed_polynomial_entry_is_input_error(tmp_path, capsys, command, d_minus):
+    config = dict(INDEX_3D, symbol={"d_minus": d_minus})
+    config.pop("expect_index_real")
+    err = _run_expect_input_error(tmp_path, capsys, command, config)
+    assert "symbol.d_minus" in err
+
+
+@pytest.mark.parametrize("command", ["index", "sweep"])
+def test_non_numeric_lattice_value_is_input_error(tmp_path, capsys, command):
+    config = dict(INDEX_3D, lattice={"dim_link": 1, "offset_t": "x", "cutoff": 32})
+    config.pop("expect_index_real")
+    err = _run_expect_input_error(tmp_path, capsys, command, config)
+    assert "lattice" in err

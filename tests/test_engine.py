@@ -24,7 +24,16 @@ from diraclab import (
     virtual_dimension_ledger,
     winding_number,
 )
-from diraclab.engine import codomain_window, poly_conj, poly_mul, realified_multiplication_by_i
+from diraclab import engine
+from diraclab.engine import (
+    _axis_window,
+    _block_labels,
+    _block_singular_values,
+    codomain_window,
+    poly_conj,
+    poly_mul,
+    realified_multiplication_by_i,
+)
 
 HALF1 = ModeLattice(dim_link=1, offset_t=0.5, cutoff=8)
 TRIV2 = ModeLattice(dim_link=2, offset_t=0.0, offset_s=0.0, cutoff=8)
@@ -176,6 +185,59 @@ def test_codomain_window_counts():
     assert ts == [float(t) for t in range(-4, 4)]
 
 
+def scan_axis_window(dom_lo, dom_hi, length, offset, dm_axis, dp_axis):
+    """Reference window picker: score every candidate start one by one."""
+    intervals = []
+    if dm_axis:
+        intervals.append((dom_lo - max(dm_axis), dom_hi - min(dm_axis)))
+    if dp_axis:
+        intervals.append((min(dp_axis) - dom_hi, max(dp_axis) - dom_lo))
+    lo = min(i[0] for i in intervals)
+    hi = max(i[1] for i in intervals)
+
+    def covered(x):
+        return any(a - 1e-9 <= x <= b + 1e-9 for a, b in intervals)
+
+    start = math.ceil(lo - offset - length) + offset
+    best_key, best = None, None
+    while start <= hi + 1.0:
+        window = [start + j for j in range(length)]
+        score = sum(1 for x in window if covered(x))
+        center = (window[0] + window[-1]) / 2.0
+        key = (-score, abs(center), center)
+        if best_key is None or key < best_key:
+            best_key, best = key, window
+        start += 1.0
+    return best
+
+
+def test_axis_window_matches_scan_on_random_inputs():
+    rng = np.random.default_rng(31)
+    for _ in range(250):
+        field_off, sym_off = rng.choice([0.0, 0.5], size=2)
+        n = int(rng.integers(1, 20))
+        dom_lo, dom_hi = -n + field_off, n - field_off
+        sym_modes = [k + sym_off for k in range(-4, 5)]
+        dm = [x for x in sym_modes if rng.uniform() < 0.3]
+        dp = [x for x in sym_modes if rng.uniform() < 0.3]
+        if not dm and not dp:
+            dm = [sym_modes[int(rng.integers(len(sym_modes)))]]
+        args = (dom_lo, dom_hi, int(rng.integers(1, 61)), (field_off - sym_off) % 1.0, dm, dp)
+        assert _axis_window(*args) == scan_axis_window(*args)
+
+
+def test_codomain_window_matches_scan_on_ladder_configs(monkeypatch):
+    circle = ModeLattice(dim_link=1, offset_t=0.5, cutoff=256)
+    cases = [(random_symbol(circle, np.random.default_rng(0), 3.0), circle, n) for n in (64, 128, 256)]
+    for offs in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)):
+        lat = ModeLattice(dim_link=2, offset_t=offs[0], offset_s=offs[1], cutoff=16)
+        sym = SymbolData(dim=2, d_plus={}, d_minus={offs: 0.8 - 0.9j})
+        cases += [(sym, lat, n) for n in (8, 12, 16)]
+    fast = [codomain_window(sym, lat, n) for sym, lat, n in cases]
+    monkeypatch.setattr(engine, "_axis_window", scan_axis_window)
+    assert fast == [codomain_window(sym, lat, n) for sym, lat, n in cases]
+
+
 def test_numerical_index_trivial_cases():
     eye = np.eye(10)
     op = RealifiedOperator(
@@ -214,6 +276,82 @@ def test_numerical_index_explicit_torus_case():
     assert rec.dim_ker == 0
     assert rec.dim_coker == 2
     assert rec.index_real == -2
+
+
+def assert_same_rank_decision(matrix, tol_rel=1e-8):
+    """Block and dense singular values agree to roundoff and give one rank decision."""
+    rows, cols = matrix.shape
+    op = RealifiedOperator(
+        matrix=matrix,
+        row_basis=[((float(i),), "re") for i in range(rows)],
+        col_basis=[((float(i),), "pattern", "re") for i in range(cols)],
+        domain_tag="ExpMinus",
+    )
+    dense = np.linalg.svd(matrix, compute_uv=False)
+    blocked = _block_singular_values(matrix)
+    assert blocked.shape == dense.shape
+    assert np.max(np.abs(blocked - dense)) <= 1e-12 * dense[0]
+    rec = numerical_index(op, tol_rel)
+    rank = int(np.sum(dense >= tol_rel * dense[0]))
+    assert (rec.dim_ker, rec.dim_coker) == (cols - rank, rows - rank)
+
+
+def test_block_singular_values_coupled_circle_is_the_dense_svd():
+    lat = ModeLattice(dim_link=1, offset_t=0.5, cutoff=16)
+    for seed in range(4):
+        sym = random_symbol(lat, np.random.default_rng(seed), 2.5)
+        for n in (8, 16):
+            matrix = build_T(sym, lat, n, SubspaceTag.EXP_MINUS).matrix
+            assert not _block_labels(matrix != 0).any()  # one component
+            np.testing.assert_array_equal(
+                _block_singular_values(matrix), np.linalg.svd(matrix, compute_uv=False)
+            )
+
+
+def test_block_singular_values_explicit_torus_cases():
+    for offs in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)):
+        lat = ModeLattice(dim_link=2, offset_t=offs[0], offset_s=offs[1], cutoff=8)
+        sym = SymbolData(dim=2, d_plus={}, d_minus={offs: 1.3 * np.exp(0.7j)})
+        for n in (4, 8):
+            matrix = build_T(sym, lat, n, SubspaceTag.EXP_MINUS).matrix
+            assert len(np.unique(_block_labels(matrix != 0))) > 1
+            assert_same_rank_decision(matrix)
+
+
+def test_block_singular_values_on_permuted_block_diagonal():
+    rng = np.random.default_rng(5)
+    shapes = [(1, 1), (2, 2), (2, 2), (3, 2), (2, 4), (5, 5), (1, 3), (3, 3)]
+    rows, cols = sum(r for r, _ in shapes) + 2, sum(c for _, c in shapes) + 3
+    matrix = np.zeros((rows, cols))
+    r0 = c0 = 0
+    for r, c in shapes:
+        matrix[r0:r0 + r, c0:c0 + c] = rng.standard_normal((r, c))
+        r0, c0 = r0 + r, c0 + c
+    # a rank-one 2x2 block, and the 5x5 block scaled to sit near the threshold
+    matrix[3:5, 3:5] = np.outer(rng.standard_normal(2), rng.standard_normal(2))
+    matrix[10:15, 11:16] *= 1e-9
+    matrix = matrix[rng.permutation(rows)][:, rng.permutation(cols)]
+    assert len(np.unique(_block_labels(matrix != 0))) == len(shapes) + 2 + 3
+    for tol in (1e-12, 1e-8, 1e-6):
+        assert_same_rank_decision(matrix, tol)
+    assert_same_rank_decision(matrix.T)
+
+
+def test_stabilized_index_sees_near_null_value_in_one_small_block():
+    # d+ = c e^{2it}, d- = 1 on the trivial torus pairs each domain mode
+    # lambda with (2, 0) - lambda; the fixed point lambda = (1, 0) is a lone
+    # 2x2 block with singular values 1 +- |c|, so |c| = 1 - 1e-6 parks one
+    # value 50x above the rank threshold while every other block is O(1)
+    sym = SymbolData(dim=2, d_plus={(2.0, 0.0): 1.0 - 1e-6}, d_minus={(0.0, 0.0): 1.0})
+    lat = ModeLattice(dim_link=2, offset_t=0.0, offset_s=0.0, cutoff=8)
+    matrix = build_T(sym, lat, 8, SubspaceTag.EXP_MINUS).matrix
+    assert len(np.unique(_block_labels(matrix != 0))) > 100
+    assert_same_rank_decision(matrix)
+    rep = stabilized_index(sym, lat, [4, 6, 8], SubspaceTag.EXP_MINUS)
+    assert not rep.stable
+    assert rep.index_real is None
+    assert all(g < 1e3 for g in rep.spectral_gap)
+    assert rep.dim_ker == [0, 0, 0]
 
 
 def test_stabilized_index_spec_cases():
