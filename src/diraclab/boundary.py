@@ -149,7 +149,7 @@ def _validate_tag(lattice: ModeLattice, tag: SubspaceTag) -> None:
             )
 
 
-def _zero_mode_home(lattice: ModeLattice) -> SubspaceTag:
+def zero_mode_home(lattice: ModeLattice) -> SubspaceTag:
     if lattice.zero_mode_policy is ZeroModePolicy.ASSIGN_PLUS:
         return SubspaceTag.EXP_PLUS
     if lattice.zero_mode_policy is ZeroModePolicy.ASSIGN_MINUS:
@@ -174,7 +174,7 @@ def project(fld: BoundaryField, tag: SubspaceTag) -> BoundaryField:
     """Project a field onto a tagged subspace, mode by mode."""
     lattice = fld.lattice
     _validate_tag(lattice, tag)
-    home = _zero_mode_home(lattice)
+    home = zero_mode_home(lattice)
     out: dict[Mode, Pair] = {}
     for mode, pair in fld.coefficients.items():
         if mode.is_zero:
@@ -270,7 +270,7 @@ def split(fld: BoundaryField) -> tuple[BoundaryField, BoundaryField, BoundaryFie
     bitwise, unconditionally.
     """
     lattice = fld.lattice
-    home = _zero_mode_home(lattice)
+    home = zero_mode_home(lattice)
     plus: dict[Mode, Pair] = {}
     minus: dict[Mode, Pair] = {}
     ker: dict[Mode, Pair] = {}

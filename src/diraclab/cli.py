@@ -58,6 +58,15 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _as_int(value: object, what: str, minimum: int | None = None) -> int:
+    """A JSON integer (not a boolean), at least ``minimum`` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what} must be at least {minimum}, got {value}")
+    return value
+
+
 def _require_object(config: dict, key: str) -> dict:
     obj = config.get(key)
     if not isinstance(obj, dict):
@@ -258,8 +267,14 @@ def cmd_index(config: dict, out: str | None, seed: int | None) -> int:
 def cmd_verify(config: dict, out: str | None, seed: int | None) -> int:
     _check_keys(config, {"suites", "seed", "quad_n", "samples"}, "verify config")
     suites = config.get("suites")
-    if not suites:
-        raise ConfigError("verify config needs a nonempty 'suites' list")
+    if not isinstance(suites, list) or not suites:
+        raise ConfigError(f"verify config needs a nonempty 'suites' list, got {suites!r}")
+    unknown = [name for name in suites if not isinstance(name, str) or name not in verify_mod.SUITES]
+    if unknown:
+        raise ConfigError(f"unknown verify suites {unknown}; known: {sorted(verify_mod.SUITES)}")
+    for key in ("samples", "quad_n"):
+        if key in config:
+            _as_int(config[key], f"'{key}'", minimum=1)
     needs_seed = any(name in verify_mod.RANDOMIZED_SUITES for name in suites)
     if needs_seed and seed is None:
         raise ConfigError("a seed is mandatory for randomized suites")
@@ -283,12 +298,8 @@ def cmd_ledger(config: dict, out: str | None) -> int:
     mode = config.get("mode")
     if mode not in ("3D", "4D"):
         raise ConfigError("ledger config needs mode '3D' or '4D'")
-    inp = LedgerInput(
-        ahat_integral=int(config.get("ahat_integral", 0)),
-        dim_ker_dsigma=int(config.get("dim_ker_dsigma", 0)),
-        dim_ker_dminus_l21=int(config.get("dim_ker_dminus_l21", 0)),
-        index_t_exp_minus=int(config.get("index_t_exp_minus", 0)),
-    )
+    names = ("ahat_integral", "dim_ker_dsigma", "dim_ker_dminus_l21", "index_t_exp_minus")
+    inp = LedgerInput(**{name: _as_int(config.get(name, 0), f"'{name}'") for name in names})
     result = virtual_dimension_ledger(inp, mode)
     for line in result["chain"]:
         sys.stdout.write(line + "\n")
@@ -333,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config)
         seed = args.seed_override if args.seed_override is not None else config.get("seed")
-        seed = int(seed) if seed is not None else None
+        seed = _as_int(seed, "'seed'") if seed is not None else None
         if args.command == "index":
             return cmd_index(config, args.out, seed)
         if args.command == "verify":

@@ -20,6 +20,12 @@ matched window reproduces the structural count (for a separated zero mode
 the codomain keeps its shadow, which is the whole source of the nonzero
 index in the trivial-offset torus model).
 
+Assembly.  Modes are keyed by doubled integers (2l, 2m), so mode
+arithmetic is exact.  One index-arithmetic kernel lists each convolution
+term's codomain key and value; one assembler writes them into the matrix
+(matched window or full reach) and :func:`apply_T` sums them in loop
+order.  Grid values come from one separable evaluator, E_l C E_m^T.
+
 Rank decision.  The rank is decided per decoupled block: the connected
 components of the matrix's nonzero pattern (rows and columns joined by
 nonzero entries) are ranked by separate SVDs.  This is exact, since the
@@ -36,14 +42,15 @@ a spectral gap of at least 1e3 around the rank threshold.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryField, SubspaceTag, field, pattern_second_weight
+from .boundary import BoundaryField, SubspaceTag, pattern_second_weight, zero_mode_home
 from .errors import DomainError, NumericError
-from .lattice import Mode, ModeLattice, ZeroModePolicy, enumerate_modes
+from .lattice import Mode, ModeLattice, axis_coordinates, box_keys, enumerate_modes
 
 ModeKey = tuple[float, ...]
 TrigPoly = dict[ModeKey, complex]
@@ -68,22 +75,32 @@ def _poly_offsets(poly: TrigPoly, dim: int) -> tuple[float, ...] | None:
     return offs
 
 
-def _double_cover_grid(n: int) -> np.ndarray:
-    return 4.0 * math.pi * np.arange(n) / n
+def _separate(keys: list[ModeKey], dim: int) -> tuple[list[list[float]], tuple[np.ndarray, ...]]:
+    """Distinct frequencies per axis of mode tuples, and each tuple's index into them."""
+    freqs = [sorted({key[a] for key in keys}) for a in range(dim)]
+    at = [{f: i for i, f in enumerate(axis)} for axis in freqs]
+    return freqs, tuple(np.array([at[a][key[a]] for key in keys], dtype=int) for a in range(dim))
+
+
+def _waves(freqs: list[float], n: int, sign: float = 1.0) -> np.ndarray:
+    """exp(sign * i * f * x) on the n-point double-cover grid, one column per frequency f."""
+    return np.exp(sign * 1j * np.outer(4.0 * math.pi * np.arange(n) / n, freqs))
 
 
 def _poly_values(poly: TrigPoly, dim: int, n: int) -> np.ndarray:
-    """Pointwise values on the n-per-axis double-cover grid [0, 4pi)^dim."""
-    xs = _double_cover_grid(n)
-    if dim == 1:
-        out = np.zeros(n, dtype=complex)
-        for (l,), c in poly.items():
-            out += c * np.exp(1j * l * xs)
-        return out
-    out = np.zeros((n, n), dtype=complex)
-    for (l, m), c in poly.items():
-        out += c * np.outer(np.exp(1j * l * xs), np.exp(1j * m * xs))
-    return out
+    """Pointwise values on the n-per-axis double-cover grid [0, 4pi)^dim.
+
+    Separable: with the coefficients in an array C over the distinct
+    frequencies of each axis, the values are E_l C (or E_l C E_m^T on a
+    torus), E_f being the n x #f matrix of exp(i f x).  The sums run over a
+    few frequencies, so einsum does them: a BLAS product this thin gains
+    little and leaves its worker threads spinning.
+    """
+    freqs, index = _separate(list(poly), dim)
+    coeffs = np.zeros([len(f) for f in freqs], dtype=complex)
+    coeffs[index] = list(poly.values())
+    out = np.einsum("il,l...->i...", _waves(freqs[0], n), coeffs)
+    return out if dim == 1 else np.einsum("im,jm->ij", out, _waves(freqs[1], n))
 
 
 @dataclass(frozen=True)
@@ -153,22 +170,74 @@ def poly_mul(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def _doubled(keys: list[ModeKey], dim: int) -> np.ndarray:
+    """Mode tuples as rows of doubled integers (2l, 2m), exact on half-integer lattices."""
+    return np.rint(2.0 * np.array(keys, dtype=float).reshape(-1, dim)).astype(np.int64)
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a * b by Python's complex product formula (numpy's may fuse multiply-adds)."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _images(symbol: SymbolData, lam2: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Term-by-term images under T of the pairs (x[i], y[i]) at doubled modes lam2[i].
+
+    Row i lists conj(c) * x at lam - mu for each (mu, c) of d-, then
+    -c * conj(y) at mu - lam for each (mu, c) of d+: keys (n, k, dim) and
+    values (n, k), in the order of the convolution loop.
+    """
+    mm = _doubled(list(symbol.d_minus), symbol.dim)
+    mp = _doubled(list(symbol.d_plus), symbol.dim)
+    cm = np.array(list(symbol.d_minus.values()), dtype=complex)
+    cp = np.array(list(symbol.d_plus.values()), dtype=complex)
+    keys = np.concatenate((lam2[:, None] - mm, mp - lam2[:, None]), axis=1)
+    vals = np.concatenate((_cmul(np.conj(cm), x[:, None]), -_cmul(cp, np.conj(y)[:, None])), axis=1)
+    return keys, vals
+
+
+def _key_rows(keys: np.ndarray, table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Row of each doubled key (last axis) in ``table``, -1 if absent.
+
+    Without a table, the table is the lexicographically sorted set of the
+    keys.  Returns the table and the rows, looked up in a dense grid over
+    the bounding box.
+    """
+    flat = keys.reshape(-1, keys.shape[-1])
+    box = flat if table is None else np.concatenate((flat, table))
+    lo = box.min(axis=0)
+    grid = np.full(box.max(axis=0) - lo + 1, -1)
+    if table is None:
+        grid[tuple((flat - lo).T)] = 0
+        table = np.argwhere(grid == 0) + lo
+    grid[tuple((table - lo).T)] = np.arange(len(table))
+    return table, grid[tuple(np.moveaxis(keys - lo, -1, 0))]
+
+
 def apply_T(symbol: SymbolData, fld: BoundaryField) -> TrigPoly:
-    """Exact convolution image conj(d-)*a - d+*conj(b) of a boundary field."""
-    out: TrigPoly = {}
-    for mode, (x, y) in fld.coefficients.items():
-        lam = mode.as_tuple()
-        if len(lam) != symbol.dim:
-            raise DomainError("field and symbol dimensions differ")
-        if x != 0:
-            for mu, c in symbol.d_minus.items():
-                j = tuple(li - mi for li, mi in zip(lam, mu))
-                out[j] = out.get(j, 0.0 + 0.0j) + c.conjugate() * x
-        if y != 0:
-            for mu, c in symbol.d_plus.items():
-                j = tuple(mi - li for li, mi in zip(lam, mu))
-                out[j] = out.get(j, 0.0 + 0.0j) - c * y.conjugate()
-    return {k: v for k, v in out.items() if v != 0}
+    """Exact convolution image conj(d-)*a - d+*conj(b) of a boundary field.
+
+    Contributions are summed per codomain mode in the loop order over the
+    field's modes (x-part before y-part, zero components skipped); modes
+    are listed in the order of their first contribution.
+    """
+    modes = [mode.as_tuple() for mode in fld.coefficients]
+    if any(len(lam) != symbol.dim for lam in modes):
+        raise DomainError("field and symbol dimensions differ")
+    x, y = np.array(list(fld.coefficients.values()), dtype=complex).reshape(-1, 2).T
+    keys, vals = _images(symbol, _doubled(modes, symbol.dim), x, y)
+    used = np.concatenate((np.repeat(x[:, None] != 0, len(symbol.d_minus), axis=1),
+                           np.repeat(y[:, None] != 0, len(symbol.d_plus), axis=1)), axis=1)
+    if not used.any():
+        return {}
+    table, rows = _key_rows(keys[used])
+    total = np.zeros(len(table), dtype=complex)
+    np.add.at(total, rows, vals[used])
+    out_keys, out_vals = (table / 2).tolist(), total.tolist()
+    return {tuple(out_keys[r]): out_vals[r] for r in dict.fromkeys(rows.tolist()) if out_vals[r] != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +255,7 @@ def _domain_params(
     """
     modes = enumerate_modes(lattice, N_dom)
     params: list[tuple[Mode, str]] = []
-    zero_home: SubspaceTag | None = None
-    if lattice.contains_zero_mode:
-        if lattice.zero_mode_policy is ZeroModePolicy.ASSIGN_PLUS:
-            zero_home = SubspaceTag.EXP_PLUS
-        elif lattice.zero_mode_policy is ZeroModePolicy.ASSIGN_MINUS:
-            zero_home = SubspaceTag.EXP_MINUS
-        else:
-            zero_home = SubspaceTag.KER_DSIGMA
+    zero_home = zero_mode_home(lattice)
     for mode in modes:
         if mode.is_zero:
             takes_zero = (
@@ -211,17 +273,6 @@ def _domain_params(
     if not params:
         raise DomainError(f"tag {tag.value} has an empty truncated domain")
     return params
-
-
-def _basis_field(lattice: ModeLattice, mode: Mode, kind: str, tag: SubspaceTag, unit: complex) -> BoundaryField:
-    if kind == "zero1":
-        return field(lattice, {mode: (unit, 0.0 + 0.0j)})
-    if kind == "zero2":
-        return field(lattice, {mode: (0.0 + 0.0j, unit)})
-    base = SubspaceTag.EXP_PLUS if tag is SubspaceTag.EXP_PLUS_ZERO else tag
-    base = SubspaceTag.EEXP_MINUS if tag is SubspaceTag.EEXP_MINUS_ZERO else base
-    w = pattern_second_weight(base, mode)
-    return field(lattice, {mode: (unit, w * unit)})
 
 
 def _axis_window(
@@ -262,14 +313,16 @@ def _axis_window(
     return [best + j for j in range(length)]
 
 
+def _codomain_offsets(lattice: ModeLattice, symbol: SymbolData) -> tuple[float, ...]:
+    """Per-axis offsets of the lattice the operator's images live on."""
+    return tuple((f - o) % 1.0 for f, o in zip(lattice.offsets, symbol.offsets))
+
+
 def codomain_window(symbol: SymbolData, lattice: ModeLattice, N_dom: int) -> list[ModeKey]:
     """Codomain mode tuples for the truncated operator, in lexicographic order."""
     windows: list[list[float]] = []
-    for axis in range(lattice.dim_link):
-        field_off = lattice.offsets[axis]
-        sym_off = symbol.offsets[axis]
-        cod_off = (field_off - sym_off) % 1.0
-        dom_coords = lattice.axis_coordinates(field_off, N_dom)
+    for axis, cod_off in enumerate(_codomain_offsets(lattice, symbol)):
+        dom_coords = axis_coordinates(lattice.offsets[axis], N_dom)
         dm_axis = [key[axis] for key in symbol.d_minus]
         dp_axis = [key[axis] for key in symbol.d_plus]
         windows.append(
@@ -282,9 +335,7 @@ def codomain_window(symbol: SymbolData, lattice: ModeLattice, N_dom: int) -> lis
                 dp_axis,
             )
         )
-    if lattice.dim_link == 1:
-        return [(x,) for x in windows[0]]
-    return [(x, y) for x in windows[0] for y in windows[1]]
+    return list(itertools.product(*windows))
 
 
 @dataclass(frozen=True)
@@ -314,6 +365,54 @@ def realified_multiplication_by_i(n_complex: int) -> np.ndarray:
     return J
 
 
+_UNIT_PAIRS = {"zero1": (1.0, 0.0), "comp1": (1.0, 0.0), "zero2": (0.0, 1.0), "comp2": (0.0, 1.0)}
+
+
+def _check_truncation(symbol: SymbolData, lattice: ModeLattice, N_dom: int) -> None:
+    if N_dom < 1:
+        raise DomainError(f"domain cutoff must be >= 1, got {N_dom}")
+    if symbol.dim != lattice.dim_link:
+        raise DomainError("symbol and lattice dimensions differ")
+
+
+def _assemble(
+    symbol: SymbolData,
+    params: list[tuple[Mode, str]],
+    pairs: list[tuple[complex, complex]],
+    cod_modes: list[ModeKey] | None,
+    domain_tag: str,
+) -> RealifiedOperator:
+    """Realified matrix of T on complex parameters, written by index arithmetic.
+
+    Parameter p at its mode with weights pairs[p] = (p1, p2) spans the
+    fields (p1 u, p2 u) for u = 1 (column 2p) and u = i (column 2p + 1).
+    The codomain is ``cod_modes`` (images elsewhere are trimmed) or, when
+    None, every mode an image reaches.  A row hit by both parts of a column
+    sums them x-part first, as :func:`apply_T` does.
+    """
+    units = np.array([1.0, 1j])
+    weights = np.array(pairs, dtype=complex)
+    x = _cmul(weights[:, :1], units).ravel()
+    y = _cmul(weights[:, 1:], units).ravel()
+    lam2 = np.repeat(_doubled([mode.as_tuple() for mode, _ in params], symbol.dim), 2, axis=0)
+    keys, vals = _images(symbol, lam2, x, y)
+    table = None if cod_modes is None else _doubled(cod_modes, symbol.dim)
+    table, rows = _key_rows(keys, table)
+    col, term = np.nonzero(rows >= 0)
+    row = rows[col, term]
+    matrix = np.zeros((2 * len(table), len(lam2)))
+    np.add.at(matrix, (2 * row, col), vals[col, term].real)
+    np.add.at(matrix, (2 * row + 1, col), vals[col, term].imag)
+    if cod_modes is None:
+        cod_modes = [tuple(key) for key in (table / 2).tolist()]
+    return RealifiedOperator(
+        matrix=matrix,
+        row_basis=[(m, part) for m in cod_modes for part in ("re", "im")],
+        col_basis=[(mode.as_tuple(), kind, part) for mode, kind in params for part in ("re", "im")],
+        domain_tag=domain_tag,
+    )
+
+
 def build_T(
     symbol: SymbolData,
     lattice: ModeLattice,
@@ -322,49 +421,16 @@ def build_T(
 ) -> RealifiedOperator:
     """Assemble the realified truncation of the boundary operator.
 
-    Columns are produced by exact convolution of the tagged basis fields
-    (each complex parameter contributes its 1 and i unit vectors); the
-    conjugate-linear part realifies into reflection blocks, the linear part
-    into rotation blocks.
+    Columns are the exact convolution images of the tagged basis fields
+    (each complex parameter contributes its 1 and i unit vectors), kept on
+    the matched codomain window; the conjugate-linear part realifies into
+    reflection blocks, the linear part into rotation blocks.
     """
-    if N_dom < 1:
-        raise DomainError(f"domain cutoff must be >= 1, got {N_dom}")
-    if symbol.dim != lattice.dim_link:
-        raise DomainError("symbol and lattice dimensions differ")
+    _check_truncation(symbol, lattice, N_dom)
     symbol.require_nondegenerate()
     params = _domain_params(lattice, N_dom, domain_tag)
-    cod_modes = codomain_window(symbol, lattice, N_dom)
-    cod_index = {m: i for i, m in enumerate(cod_modes)}
-
-    sub_lattice = ModeLattice(
-        dim_link=lattice.dim_link,
-        offset_t=lattice.offset_t,
-        offset_s=lattice.offset_s,
-        cutoff=N_dom,
-        zero_mode_policy=lattice.zero_mode_policy,
-    )
-    matrix = np.zeros((2 * len(cod_modes), 2 * len(params)))
-    for col, (mode, kind) in enumerate(params):
-        for uidx, unit in enumerate((1.0 + 0.0j, 1j)):
-            bf = _basis_field(sub_lattice, mode, kind, domain_tag, unit)
-            image = apply_T(symbol, bf)
-            for key, val in image.items():
-                row = cod_index.get(key)
-                if row is None:
-                    continue  # trimmed by the matched window
-                matrix[2 * row, 2 * col + uidx] = val.real
-                matrix[2 * row + 1, 2 * col + uidx] = val.imag
-
-    row_basis = [(m, part) for m in cod_modes for part in ("re", "im")]
-    col_basis = [
-        (mode.as_tuple(), kind, part) for mode, kind in params for part in ("re", "im")
-    ]
-    return RealifiedOperator(
-        matrix=matrix,
-        row_basis=row_basis,
-        col_basis=col_basis,
-        domain_tag=domain_tag.value,
-    )
+    pairs = [_UNIT_PAIRS.get(kind) or (1.0, pattern_second_weight(domain_tag, mode)) for mode, kind in params]
+    return _assemble(symbol, params, pairs, codomain_window(symbol, lattice, N_dom), domain_tag.value)
 
 
 def build_T_full(symbol: SymbolData, lattice: ModeLattice, N_dom: int) -> RealifiedOperator:
@@ -374,42 +440,9 @@ def build_T_full(symbol: SymbolData, lattice: ModeLattice, N_dom: int) -> Realif
     mode, so applying the matrix to a realified field reproduces the exact
     image; used by the kernel-identity checks and assembly-oracle tests.
     """
-    if N_dom < 1:
-        raise DomainError(f"domain cutoff must be >= 1, got {N_dom}")
-    if symbol.dim != lattice.dim_link:
-        raise DomainError("symbol and lattice dimensions differ")
-    modes = enumerate_modes(lattice, N_dom)
-    reachable: set[ModeKey] = set()
-    for mode in modes:
-        lam = mode.as_tuple()
-        for mu in symbol.d_minus:
-            reachable.add(tuple(li - mi for li, mi in zip(lam, mu)))
-        for mu in symbol.d_plus:
-            reachable.add(tuple(mi - li for li, mi in zip(lam, mu)))
-    cod_modes = sorted(reachable)
-    cod_index = {m: i for i, m in enumerate(cod_modes)}
-    sub_lattice = ModeLattice(
-        dim_link=lattice.dim_link,
-        offset_t=lattice.offset_t,
-        offset_s=lattice.offset_s,
-        cutoff=N_dom,
-        zero_mode_policy=lattice.zero_mode_policy,
-    )
-    params = [(mode, comp) for mode in modes for comp in ("comp1", "comp2")]
-    matrix = np.zeros((2 * len(cod_modes), 2 * len(params)))
-    for col, (mode, comp) in enumerate(params):
-        for uidx, unit in enumerate((1.0 + 0.0j, 1j)):
-            pair = (unit, 0.0 + 0.0j) if comp == "comp1" else (0.0 + 0.0j, unit)
-            image = apply_T(symbol, field(sub_lattice, {mode: pair}))
-            for key, val in image.items():
-                row = cod_index[key]
-                matrix[2 * row, 2 * col + uidx] = val.real
-                matrix[2 * row + 1, 2 * col + uidx] = val.imag
-    row_basis = [(m, part) for m in cod_modes for part in ("re", "im")]
-    col_basis = [(mode.as_tuple(), comp, part) for mode, comp in params for part in ("re", "im")]
-    return RealifiedOperator(
-        matrix=matrix, row_basis=row_basis, col_basis=col_basis, domain_tag="Full"
-    )
+    _check_truncation(symbol, lattice, N_dom)
+    params = [(mode, comp) for mode in enumerate_modes(lattice, N_dom) for comp in ("comp1", "comp2")]
+    return _assemble(symbol, params, [_UNIT_PAIRS[comp] for _, comp in params], None, "Full")
 
 
 # ---------------------------------------------------------------------------
@@ -625,21 +658,17 @@ def stabilized_index(
 def _project_values(
     values: np.ndarray, dim: int, n: int, modes: list[ModeKey]
 ) -> TrigPoly:
-    """Exact trapezoid projection of grid values onto the given mode set."""
-    xs = _double_cover_grid(n)
-    out: TrigPoly = {}
-    if dim == 1:
-        for (l,) in modes:
-            coeff = complex(np.mean(values * np.exp(-1j * l * xs)))
-            if abs(coeff) > 1e-15:
-                out[(l,)] = coeff
-        return out
-    for (l, m) in modes:
-        phase = np.outer(np.exp(-1j * l * xs), np.exp(-1j * m * xs))
-        coeff = complex(np.mean(values * phase))
-        if abs(coeff) > 1e-15:
-            out[(l, m)] = coeff
-    return out
+    """Exact trapezoid projection of grid values onto the given mode set.
+
+    The adjoint of :func:`_poly_values`: conj(E_l)^T V (conj(E_m) on a
+    torus), divided by the number of grid points.
+    """
+    freqs, index = _separate(modes, dim)
+    proj = _waves(freqs[0], n, -1.0).T @ values
+    if dim == 2:
+        proj = proj @ _waves(freqs[1], n, -1.0)
+    coeffs = (proj[index] / n**dim).tolist()
+    return {mode: c for mode, c in zip(modes, coeffs) if abs(c) > 1e-15}
 
 
 def _grid_size(*freq_maxima: float) -> int:
@@ -647,31 +676,42 @@ def _grid_size(*freq_maxima: float) -> int:
     return 4 * math.ceil(fmax) + 8
 
 
-def _field_parts(fld: BoundaryField) -> tuple[TrigPoly, TrigPoly]:
-    a: TrigPoly = {}
-    b: TrigPoly = {}
-    for mode, (x, y) in fld.coefficients.items():
-        if x != 0:
-            a[mode.as_tuple()] = x
-        if y != 0:
-            b[mode.as_tuple()] = y
-    return a, b
+def _grid_values(u: BoundaryField, symbol: SymbolData) -> tuple:
+    """Grid size n and the values of d+, d-, u+ and u- on the n-point double-cover grid."""
+    n = _grid_size(u.lattice.cutoff + symbol.bandwidth, symbol.bandwidth)
+    u_plus = {mode.as_tuple(): x for mode, (x, _) in u.coefficients.items() if x != 0}
+    u_minus = {mode.as_tuple(): y for mode, (_, y) in u.coefficients.items() if y != 0}
+    return n, *(_poly_values(p, symbol.dim, n) for p in (symbol.d_plus, symbol.d_minus, u_plus, u_minus))
 
 
 def _eta_modes(lattice: ModeLattice, symbol: SymbolData, cutoff: int) -> list[ModeKey]:
-    coords = []
-    for axis in range(lattice.dim_link):
-        off = (lattice.offsets[axis] - symbol.offsets[axis]) % 1.0
-        axis_coords = []
-        k = math.ceil(-cutoff - off)
-        while k + off <= cutoff + 1e-9:
-            if abs(k + off) <= cutoff + 1e-9:
-                axis_coords.append(k + off)
-            k += 1
-        coords.append(axis_coords)
-    if lattice.dim_link == 1:
-        return [(x,) for x in coords[0]]
-    return [(x, y) for x in coords[0] for y in coords[1]]
+    return box_keys(_codomain_offsets(lattice, symbol), cutoff)
+
+
+def _duality_residuals(
+    lattice: ModeLattice, symbol: SymbolData, eta_cutoff: int, c_poly: TrigPoly
+) -> np.ndarray:
+    """Re <T w, c> for each test field w = (d+ eta, d- conj(eta)), eta one exponential.
+
+    The test fields are stacked as realified columns and paired with c
+    through one full-reach matrix.
+    """
+    op = build_T_full(symbol, lattice, lattice.cutoff)
+    dim = symbol.dim
+    eta2 = _doubled(_eta_modes(lattice, symbol, eta_cutoff), dim)
+    modes2 = _doubled([key for key, _, _ in op.col_basis[::4]], dim)
+    _, at_plus = _key_rows(eta2[:, None] + _doubled(list(symbol.d_plus), dim), modes2)
+    _, at_minus = _key_rows(_doubled(list(symbol.d_minus), dim) - eta2[:, None], modes2)
+    cp = np.array(list(symbol.d_plus.values()), dtype=complex)
+    cm = np.array(list(symbol.d_minus.values()), dtype=complex)
+    fields = np.zeros((op.matrix.shape[1], len(eta2)))
+    test = np.arange(len(eta2))[:, None]
+    fields[4 * at_plus, test], fields[4 * at_plus + 1, test] = cp.real, cp.imag
+    fields[4 * at_minus + 2, test], fields[4 * at_minus + 3, test] = cm.real, cm.imag
+
+    c_rows = [c_poly.get(key, 0j) for key, _ in op.row_basis[::2]]
+    c_vec = np.array([(c.real, c.imag) for c in c_rows]).ravel()
+    return (c_vec @ op.matrix) @ fields
 
 
 def reconstruct_eta(
@@ -685,22 +725,13 @@ def reconstruct_eta(
     cross-checked wherever both denominators exceed 1e-6.  The input must
     be annihilated by the boundary operator to within the stated residual.
     """
-    dim = symbol.dim
     image = apply_T(symbol, u)
     resid = max((abs(v) for v in image.values()), default=0.0)
     if resid >= kernel_residual_tol:
         raise DomainError(
             f"input is not kernel data: operator residual {resid:.3e} >= {kernel_residual_tol:.1e}"
         )
-    a, b = _field_parts(u)
-    n = _grid_size(
-        u.lattice.cutoff + symbol.bandwidth,
-        symbol.bandwidth,
-    )
-    dp = _poly_values(symbol.d_plus, dim, n)
-    dm = _poly_values(symbol.d_minus, dim, n)
-    ua = _poly_values(a, dim, n)
-    ub = _poly_values(b, dim, n)
+    n, dp, dm, ua, ub = _grid_values(u, symbol)
 
     use_plus = np.abs(dp) >= np.abs(dm)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -717,7 +748,7 @@ def reconstruct_eta(
             raise NumericError(
                 f"branch formulas disagree by {worst:.3e} relative; input not in the kernel"
             )
-    return _project_values(eta_vals, dim, n, _eta_modes(u.lattice, symbol, u.lattice.cutoff))
+    return _project_values(eta_vals, symbol.dim, n, _eta_modes(u.lattice, symbol, u.lattice.cutoff))
 
 
 def cokernel_correspondence(
@@ -733,14 +764,13 @@ def cokernel_correspondence(
     conditioned branch.  The result is checked to be real-orthogonal, in
     Re int f conj(g), to the operator images of the kernel test fields
     (d+ eta, d- conj(eta)) over the exponential basis of reparametrizations.
+
+    That check is vacuous: the test fields are kernel fields, whose images
+    conj(d-) d+ eta - d+ conj(d-) eta vanish identically, so the residual is
+    roundoff (at most 7.8e-16 over the 3,100 test fields of a seeded
+    verify run, tolerance 1e-8) and cannot fail for the reason it names.
     """
-    dim = symbol.dim
-    a, b = _field_parts(u)
-    n = _grid_size(u.lattice.cutoff + symbol.bandwidth, symbol.bandwidth)
-    dp = _poly_values(symbol.d_plus, dim, n)
-    dm = _poly_values(symbol.d_minus, dim, n)
-    ua = _poly_values(a, dim, n)
-    ub = _poly_values(b, dim, n)
+    n, dp, dm, ua, ub = _grid_values(u, symbol)
 
     relation = np.abs(dm * np.conj(ua) - np.conj(dp) * ub)
     worst = float(np.max(relation)) if relation.size else 0.0
@@ -754,28 +784,12 @@ def cokernel_correspondence(
         branch_plus = np.where(dp != 0, np.conj(ua) / np.conj(np.where(dp != 0, dp, 1.0)), 0.0)
         branch_minus = np.where(dm != 0, ub / np.where(dm != 0, dm, 1.0), 0.0)
     c_vals = np.where(use_plus, branch_plus, branch_minus)
-    c_poly = _project_values(c_vals, dim, n, _eta_modes(u.lattice, symbol, u.lattice.cutoff))
+    c_poly = _project_values(c_vals, symbol.dim, n, _eta_modes(u.lattice, symbol, u.lattice.cutoff))
 
     eta_cutoff = u.lattice.cutoff - math.ceil(symbol.bandwidth)
     worst_orth = 0.0
     if eta_cutoff >= 0:
-        for eta_key in _eta_modes(u.lattice, symbol, eta_cutoff):
-            eta: TrigPoly = {eta_key: 1.0 + 0.0j}
-            w_plus = poly_mul(symbol.d_plus, eta)
-            w_minus = poly_mul(symbol.d_minus, poly_conj(eta))
-            coeffs = {}
-            for key, val in w_plus.items():
-                coeffs.setdefault(key, [0.0 + 0.0j, 0.0 + 0.0j])[0] += val
-            for key, val in w_minus.items():
-                coeffs.setdefault(key, [0.0 + 0.0j, 0.0 + 0.0j])[1] += val
-            w_field = field(
-                u.lattice, {Mode(*key): (v[0], v[1]) for key, v in coeffs.items()}
-            )
-            image = apply_T(symbol, w_field)
-            pair = sum(
-                (image.get(k, 0) * c_poly.get(k, 0).conjugate()) for k in set(image) | set(c_poly)
-            )
-            worst_orth = max(worst_orth, abs(pair.real))
+        worst_orth = float(np.max(np.abs(_duality_residuals(u.lattice, symbol, eta_cutoff, c_poly)), initial=0.0))
     if worst_orth > orthogonality_tol:
         raise NumericError(
             f"cokernel orthogonality residual {worst_orth:.3e} > {orthogonality_tol:.1e}"
@@ -863,21 +877,7 @@ def random_symbol(
     is rejection-sampled until min |d+|^2 + |d-|^2 clears ``min_density``
     on the sample grid.
     """
-    offs = offsets if offsets is not None else lattice.offsets
-    axis_modes: list[list[float]] = []
-    for off in offs:
-        coords = []
-        k = math.ceil(-bandwidth - off)
-        while k + off <= bandwidth + 1e-9:
-            if abs(k + off) <= bandwidth + 1e-9:
-                coords.append(k + off)
-            k += 1
-        axis_modes.append(coords)
-    keys: list[ModeKey]
-    if len(axis_modes) == 1:
-        keys = [(x,) for x in axis_modes[0]]
-    else:
-        keys = [(x, y) for x in axis_modes[0] for y in axis_modes[1]]
+    keys = box_keys(offsets if offsets is not None else lattice.offsets, bandwidth)
 
     def draw() -> TrigPoly:
         out: TrigPoly = {}

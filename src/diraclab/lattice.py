@@ -9,9 +9,11 @@ coefficient maps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -94,22 +96,29 @@ class ModeLattice:
     def contains_zero_mode(self) -> bool:
         return all(off == 0.0 for off in self.offsets)
 
-    def axis_coordinates(self, offset: float, cutoff: int | None = None) -> list[float]:
-        """All coordinates ``n + offset`` with magnitude <= cutoff, ascending."""
-        n = self.cutoff if cutoff is None else cutoff
-        lo = math.ceil(-n - offset)
-        out = []
-        k = lo
-        while k + offset <= n + 1e-12:
-            if abs(k + offset) <= n + 1e-12:
-                out.append(k + offset)
-            k += 1
-        return out
-
     def axis_count(self, axis: int, cutoff: int | None = None) -> int:
         """Number of lattice coordinates on one axis inside the cutoff box."""
         n = self.cutoff if cutoff is None else cutoff
         return 2 * n if self.offsets[axis] == 0.5 else 2 * n + 1
+
+
+def axis_coordinates(offset: float, bound: float) -> list[float]:
+    """All coordinates ``n + offset`` with magnitude <= ``bound``, ascending.
+
+    Works on the doubled integers ``2n + 2*offset``, so the comparison with
+    the bound is exact.
+    """
+    top = math.floor(2 * bound)
+    top -= (top - round(2 * offset)) % 2  # largest doubled coordinate of the offset's parity
+    return [d / 2 for d in range(-top, top + 1, 2)]
+
+
+def box_keys(offsets: Sequence[float], bound: float) -> list[tuple[float, ...]]:
+    """Mode tuples of the offset lattice with every coordinate magnitude <= ``bound``.
+
+    Sorted lexicographically; one axis per offset.
+    """
+    return list(itertools.product(*(axis_coordinates(off, bound) for off in offsets)))
 
 
 def enumerate_modes(lattice: ModeLattice, cutoff: int | None = None) -> list[Mode]:
@@ -119,11 +128,8 @@ def enumerate_modes(lattice: ModeLattice, cutoff: int | None = None) -> list[Mod
     it is deterministic and stable across runs.  The zero mode appears iff
     every offset is zero.
     """
-    ls = lattice.axis_coordinates(lattice.offset_t, cutoff)
-    if lattice.dim_link == 1:
-        return [Mode(l) for l in ls]
-    ms = lattice.axis_coordinates(lattice.offset_s, cutoff)
-    return [Mode(l, m) for l in ls for m in ms]
+    n = lattice.cutoff if cutoff is None else cutoff
+    return [Mode(*key) for key in box_keys(lattice.offsets, n)]
 
 
 def generalized_sign(mode: Mode) -> complex:

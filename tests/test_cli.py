@@ -311,3 +311,26 @@ def test_non_numeric_lattice_value_is_input_error(tmp_path, capsys, command):
     config.pop("expect_index_real")
     err = _run_expect_input_error(tmp_path, capsys, command, config)
     assert "lattice" in err
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"suites": ["eta"], "samples": 0, "seed": 1}, "'samples'"),
+        ({"suites": ["eta"], "samples": "abc", "seed": 1}, "'samples'"),
+        ({"suites": ["eta"], "samples": 2, "seed": "abc"}, "'seed'"),
+        ({"suites": ["green"], "quad_n": 0}, "'quad_n'"),
+        ({"suites": "ode"}, "'suites' list"),
+        ({"suites": ["bessel", ["ode"]]}, "['ode']"),
+    ],
+    ids=["zero-samples", "non-numeric-samples", "non-numeric-seed", "zero-quad-n", "suites-string",
+         "non-string-suite"],
+)
+def test_malformed_verify_config_is_input_error(tmp_path, capsys, config, named):
+    assert named in _run_expect_input_error(tmp_path, capsys, "verify", config)
+
+
+@pytest.mark.parametrize("key", ["ahat_integral", "dim_ker_dsigma", "dim_ker_dminus_l21", "index_t_exp_minus"])
+def test_non_integer_ledger_input_is_input_error(tmp_path, capsys, key):
+    err = _run_expect_input_error(tmp_path, capsys, "ledger", {"mode": "4D", key: "x"})
+    assert key in err
