@@ -12,6 +12,14 @@ with the zero mode routed to the link-kernel summand (or absorbed into a
 half, per the lattice policy on a circle link).  The mirrored families use
 the conjugated sign: e0 maps the plus/minus patterns exactly onto them.
 
+Array kernels.  :func:`split` and :func:`project` stack a field's pairs into
+one (n, 2) array and work on all modes at once.  The pattern weights come
+from the scalar :func:`pattern_second_weight`, cached per lattice, and every
+complex product goes through :func:`_cmul`, Python's product formula, so
+each mode's result is bitwise what the scalar formulas give.  Validation is
+exact and cached too: a field's modes must be members of its lattice's mode
+set.
+
 Floating point caveat: rounding the two halves of an orthogonal split
 independently loses the sum-to-identity by an occasional ulp.
 :func:`split` therefore nudges the complement (or the pattern coefficient)
@@ -23,6 +31,7 @@ stated tolerance.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -49,6 +58,26 @@ class SubspaceTag(str, Enum):
 
 
 _ZERO_BEARING = (SubspaceTag.KER_DSIGMA, SubspaceTag.EXP_PLUS_ZERO, SubspaceTag.EEXP_MINUS_ZERO)
+_HALF = np.complex128(0.5)
+
+
+@functools.lru_cache(maxsize=64)
+def _mode_rows(lattice: ModeLattice) -> dict[Mode, int]:
+    """Position of each lattice mode in :func:`enumerate_modes` order; the keys are the mode set."""
+    return {mode: i for i, mode in enumerate(enumerate_modes(lattice))}
+
+
+def _zero_row(lattice: ModeLattice) -> int:
+    """Row of the zero mode, -1 without one: the middle of the symmetric, sorted box."""
+    return len(_mode_rows(lattice)) // 2 if lattice.contains_zero_mode else -1
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a * b by Python's complex product formula (numpy's may fuse multiply-adds)."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 @dataclass(frozen=True)
@@ -59,16 +88,19 @@ class BoundaryField:
     coefficients: dict[Mode, Pair]
 
     def __post_init__(self) -> None:
+        rows = _mode_rows(self.lattice)
+        if self.coefficients.keys() <= rows.keys():
+            return
         n = self.lattice.cutoff
         for mode in self.coefficients:
+            if mode in rows:
+                continue
             coords = mode.as_tuple()
             if len(coords) != self.lattice.dim_link:
                 raise DomainError(f"mode {mode} has the wrong dimension for the lattice")
-            if any(abs(c) > n + 1e-12 for c in coords):
+            if not all(abs(c) <= n for c in coords):
                 raise DomainError(f"mode {mode} lies outside the lattice cutoff {n}")
-            for c, off in zip(coords, self.lattice.offsets):
-                if abs((c - off) - round(c - off)) > 1e-9:
-                    raise DomainError(f"mode {mode} is not on the lattice (offsets {self.lattice.offsets})")
+            raise DomainError(f"mode {mode} is not on the lattice (offsets {self.lattice.offsets})")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoundaryField):
@@ -93,6 +125,21 @@ def field(lattice: ModeLattice, coeffs: dict[Mode, Pair]) -> BoundaryField:
         m: (complex(x), complex(y)) for m, (x, y) in coeffs.items() if x != 0 or y != 0
     }
     return BoundaryField(lattice, cleaned)
+
+
+def pair_field(
+    lattice: ModeLattice, plus_poly: dict[tuple[float, ...], complex], minus_poly: dict[tuple[float, ...], complex]
+) -> BoundaryField:
+    """Field (u+, u-) with first components from ``plus_poly`` and second from ``minus_poly``.
+
+    The polynomials are keyed by mode tuples; modes are listed in order of
+    first occurrence, ``plus_poly`` first.
+    """
+    coeffs: dict[Mode, Pair] = {Mode(*key): (x, 0j) for key, x in plus_poly.items()}
+    for key, y in minus_poly.items():
+        mode = Mode(*key)
+        coeffs[mode] = (coeffs.get(mode, (0j, 0j))[0], y)
+    return field(lattice, coeffs)
 
 
 def field_add(a: BoundaryField, b: BoundaryField) -> BoundaryField:
@@ -157,109 +204,124 @@ def zero_mode_home(lattice: ModeLattice) -> SubspaceTag:
     return SubspaceTag.KER_DSIGMA
 
 
-def _project_pair(pair: Pair, w: complex) -> Pair:
-    """Orthogonal projection of (x, y) onto span(1, w), |w| = 1.
+@functools.lru_cache(maxsize=64)
+def _pattern_weights(lattice: ModeLattice, tag: SubspaceTag) -> np.ndarray:
+    """:func:`pattern_second_weight` at each lattice mode (0 at the zero mode), in row order.
 
-    A pair already satisfying y == w*x bitwise is returned unchanged, which
-    makes repeated projection exactly idempotent.
+    Taken from the scalar formula: ``math.hypot`` and ``np.hypot`` can
+    differ in the last bit.
     """
-    x, y = pair
-    if y == w * x:
-        return (x, y)
-    c = 0.5 * (x + w.conjugate() * y)
-    return (c, w * c)
+    return np.array(
+        [0j if mode.is_zero else pattern_second_weight(tag, mode) for mode in enumerate_modes(lattice)],
+        dtype=complex,
+    )
+
+
+def _stack(fld: BoundaryField) -> tuple[list[Mode], np.ndarray, np.ndarray]:
+    """The field's modes, their lattice rows and their pairs as an (n, 2) complex array."""
+    rows = _mode_rows(fld.lattice)
+    modes = list(fld.coefficients)
+    at = np.array([rows[mode] for mode in modes], dtype=np.intp)
+    return modes, at, np.array(list(fld.coefficients.values()), dtype=complex).reshape(-1, 2)
+
+
+def _unstack(lattice: ModeLattice, modes: list[Mode], pairs: np.ndarray) -> BoundaryField:
+    """Field of the rows of ``pairs`` that are not exactly zero, in the order of ``modes``."""
+    keep = np.flatnonzero((pairs != 0).any(axis=1)).tolist()
+    return BoundaryField(lattice, {modes[i]: (x, y) for i, (x, y) in zip(keep, pairs[keep].tolist())})
 
 
 def project(fld: BoundaryField, tag: SubspaceTag) -> BoundaryField:
-    """Project a field onto a tagged subspace, mode by mode."""
+    """Project a field onto a tagged subspace, mode by mode.
+
+    At a nonzero mode the pair (x, y) goes to (c, w c) with c = (x + conj(w) y)/2,
+    the orthogonal projection onto span(1, w).  A pair already satisfying
+    y == w x bitwise is kept unchanged, which makes repeated projection
+    exactly idempotent.
+    """
     lattice = fld.lattice
     _validate_tag(lattice, tag)
+    modes, at, pairs = _stack(fld)
+    out = np.zeros_like(pairs)
+    if tag is not SubspaceTag.KER_DSIGMA:
+        x, y = pairs.T
+        w = _pattern_weights(lattice, tag)[at]
+        c = _cmul(_HALF, x + _cmul(np.conj(w), y))
+        pure = y == _cmul(w, x)
+        out[:, 0] = np.where(pure, x, c)
+        out[:, 1] = np.where(pure, y, _cmul(w, c))
     home = zero_mode_home(lattice)
-    out: dict[Mode, Pair] = {}
-    for mode, pair in fld.coefficients.items():
-        if mode.is_zero:
-            if tag is home or (
-                tag in (SubspaceTag.EXP_PLUS_ZERO, SubspaceTag.EEXP_MINUS_ZERO)
-                and home is SubspaceTag.KER_DSIGMA
-            ):
-                out[mode] = pair
-            continue
-        if tag is SubspaceTag.KER_DSIGMA:
-            continue
-        out[mode] = _project_pair(pair, pattern_second_weight(tag, mode))
-    return field(lattice, out)
+    takes_zero = tag is home or (
+        tag in (SubspaceTag.EXP_PLUS_ZERO, SubspaceTag.EEXP_MINUS_ZERO) and home is SubspaceTag.KER_DSIGMA
+    )
+    zero = at == _zero_row(lattice)
+    out[zero] = pairs[zero] if takes_zero else 0
+    return _unstack(lattice, modes, out)
 
 
-def _complement_component(total: float, part: float) -> tuple[float, bool]:
-    """m with fl(part + m) == total, nudged by ulps; flags an unreachable target."""
-    m = total - part
-    if part + m == total:
-        return m, True
-    for _ in range(3):
-        overshoot = (part + m) - total
-        m = np.nextafter(m, -math.inf) if overshoot > 0 else np.nextafter(m, math.inf)
-        if part + m == total:
-            return m, True
-    return total - part, False
+def _complement_component(total: np.ndarray, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m with fl(part + m) == total, nudged by up to three ulps; flags where it was reached.
 
-
-def _complement_pair(total: Pair, part: Pair) -> tuple[Pair, bool]:
-    out = []
-    ok = True
-    for t, p in zip(total, part):
-        mr, okr = _complement_component(t.real, p.real)
-        mi, oki = _complement_component(t.imag, p.imag)
-        out.append(complex(mr, mi))
-        ok = ok and okr and oki
-    return (out[0], out[1]), ok
-
-
-def _ulp_steps(x: float, radius: int) -> list[float]:
-    down, up = [x], [x]
-    for _ in range(radius):
-        down.append(np.nextafter(down[-1], -math.inf))
-        up.append(np.nextafter(up[-1], math.inf))
-    return [x] + down[1:] + up[1:]
-
-
-def _ulp_candidates(c: complex, radius: int = 2) -> list[complex]:
-    """c plus its complex neighbours within `radius` ulps per component."""
-    cands = [complex(re, im) for re in _ulp_steps(c.real, radius) for im in _ulp_steps(c.imag, radius)]
-    cands.sort(key=lambda z: (abs(z.real - c.real) + abs(z.imag - c.imag), z.real, z.imag))
-    return cands
-
-
-def _split_mode(pair: Pair, w: complex, v: complex) -> tuple[Pair, Pair]:
-    """Plus part (pattern-pure) and its exact complement at one mode.
-
-    When some component of the complement cannot round onto the input (a
-    round-to-even parity lock), the plus coefficient is perturbed by one
-    ulp, which breaks the alignment; the perturbation stays far below every
-    stated tolerance.
+    ``total`` broadcasts against ``part``.  Only the entries that miss at
+    first are nudged (about one in ten).
     """
-    x, y = pair
-    if y == w * x:
-        return pair, (0.0 + 0.0j, 0.0 + 0.0j)
-    if y == v * x:
-        return (0.0 + 0.0j, 0.0 + 0.0j), pair
-    c_plus = 0.5 * (x + w.conjugate() * y)
-    for cand in _ulp_candidates(c_plus):
-        p = (cand, w * cand)
-        m, ok = _complement_pair(pair, p)
-        if ok:
-            return p, m
-    # the complement's binade can be too coarse for any plus-side candidate;
-    # let the minus half carry the pure pattern instead
-    c_minus = 0.5 * (x + v.conjugate() * y)
-    for cand in _ulp_candidates(c_minus):
-        m2 = (cand, v * cand)
-        p2, ok = _complement_pair(pair, m2)
-        if ok:
-            return p2, m2
-    # rounding windows unreachable from either side (heavy cancellation
-    # between the pattern halves); halving each component is always exact
-    half = (0.5 * x, 0.5 * y)
-    return half, half
+    total = np.broadcast_to(total, part.shape)
+    m = total - part
+    ok = part + m == total
+    miss = np.flatnonzero(~ok)
+    t, p, mm = total.ravel()[miss], part.ravel()[miss], m.ravel()[miss]
+    hit = np.zeros(miss.shape, dtype=bool)
+    for _ in range(3):
+        nudged = np.nextafter(mm, np.where((p + mm) - t > 0, -np.inf, np.inf))
+        mm = np.where(hit, mm, nudged)
+        hit = p + mm == t
+    m.ravel()[miss] = mm
+    ok.ravel()[miss] = hit
+    return m, ok
+
+
+def _ulp_steps(x: np.ndarray, radius: int) -> np.ndarray:
+    """x, then 1..radius ulps below, then 1..radius ulps above, along a new last axis."""
+    steps = [x]
+    for direction in (-np.inf, np.inf):
+        step = x
+        for _ in range(radius):
+            step = np.nextafter(step, direction)
+            steps.append(step)
+    return np.stack(steps, axis=-1)
+
+
+def _ulp_candidates(c: np.ndarray, radius: int = 2) -> np.ndarray:
+    """Each c's complex neighbours within ``radius`` ulps per component, along a new last axis.
+
+    Ordered by L1 distance to c, then real part, then imaginary part; the
+    distance is rounded, so the order depends on each component's binade.
+    """
+    n = 2 * radius + 1
+    re = np.repeat(_ulp_steps(c.real, radius), n, axis=-1)
+    im = np.tile(_ulp_steps(c.imag, radius), n)
+    dist = np.abs(re - c.real[..., None]) + np.abs(im - c.imag[..., None])
+    order = np.lexsort((im, re, dist), axis=-1)
+    out = np.empty(re.shape, dtype=complex)
+    out.real = np.take_along_axis(re, order, axis=-1)
+    out.imag = np.take_along_axis(im, order, axis=-1)
+    return out
+
+
+def _pattern_split(pairs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pattern-pure part (c, w c) of each pair and its exact complement.
+
+    c runs through the ulp candidates of the projection coefficient; the
+    first whose complement re-adds onto the pair in all four real components
+    is taken.  Returns the parts and a flag for the pairs where one was found.
+    """
+    x, y = pairs.T
+    cands = _ulp_candidates(_cmul(_HALF, x + _cmul(np.conj(w), y)))
+    pattern = np.stack((cands, _cmul(w[:, None], cands)), axis=-1)
+    rest, ok = _complement_component(pairs.view(float)[:, None, :], pattern.view(float))
+    ok = ok.all(axis=-1)
+    pick = (np.arange(len(pairs)), np.argmax(ok, axis=1))
+    return pattern[pick], rest.view(complex)[pick], ok[pick]
 
 
 def split(fld: BoundaryField) -> tuple[BoundaryField, BoundaryField, BoundaryField]:
@@ -267,27 +329,38 @@ def split(fld: BoundaryField) -> tuple[BoundaryField, BoundaryField, BoundaryFie
 
     One half is pattern-pure and the other is its exact complement
     (off-pattern by ulps); ``plus + minus + kernel`` reproduces the input
-    bitwise, unconditionally.
+    bitwise, unconditionally.  A pair already on the plus (minus) pattern
+    goes whole to that half.  When some component of the complement cannot
+    round onto the input (a round-to-even parity lock), the pattern
+    coefficient is moved by up to two ulps, which breaks the alignment.  If
+    no plus-side candidate works, the complement's binade is too coarse and
+    the minus half carries the pure pattern instead; if neither side works
+    (heavy cancellation between the pattern halves), both halves get the
+    exactly halved pair.
     """
     lattice = fld.lattice
-    home = zero_mode_home(lattice)
-    plus: dict[Mode, Pair] = {}
-    minus: dict[Mode, Pair] = {}
-    ker: dict[Mode, Pair] = {}
-    for mode, pair in fld.coefficients.items():
-        if mode.is_zero:
-            {SubspaceTag.EXP_PLUS: plus, SubspaceTag.EXP_MINUS: minus, SubspaceTag.KER_DSIGMA: ker}[
-                home
-            ][mode] = pair
-            continue
-        w = pattern_second_weight(SubspaceTag.EXP_PLUS, mode)
-        v = pattern_second_weight(SubspaceTag.EXP_MINUS, mode)
-        p, m = _split_mode(pair, w, v)
-        if p != (0, 0):
-            plus[mode] = p
-        if m != (0, 0):
-            minus[mode] = m
-    return field(lattice, plus), field(lattice, minus), field(lattice, ker)
+    modes, at, pairs = _stack(fld)
+    w = _pattern_weights(lattice, SubspaceTag.EXP_PLUS)[at]
+    v = _pattern_weights(lattice, SubspaceTag.EXP_MINUS)[at]
+    x, y = pairs.T
+    plus, minus, ker = np.zeros_like(pairs), np.zeros_like(pairs), np.zeros_like(pairs)
+    zero = at == _zero_row(lattice)
+    on_plus = ~zero & (y == _cmul(w, x))
+    on_minus = ~zero & ~on_plus & (y == _cmul(v, x))
+    plus[on_plus] = pairs[on_plus]
+    minus[on_minus] = pairs[on_minus]
+    todo = np.flatnonzero(~(zero | on_plus | on_minus))
+    k = todo.size
+    pattern, rest, found = _pattern_split(np.tile(pairs[todo], (2, 1)), np.concatenate((w[todo], v[todo])))
+    by_plus = found[:k]
+    by_minus = ~by_plus & found[k:]
+    plus[todo[by_plus]], minus[todo[by_plus]] = pattern[:k][by_plus], rest[:k][by_plus]
+    plus[todo[by_minus]], minus[todo[by_minus]] = rest[k:][by_minus], pattern[k:][by_minus]
+    halved = todo[~(by_plus | by_minus)]
+    plus[halved] = minus[halved] = _cmul(_HALF, pairs[halved])
+    home = {SubspaceTag.EXP_PLUS: plus, SubspaceTag.EXP_MINUS: minus, SubspaceTag.KER_DSIGMA: ker}
+    home[zero_mode_home(lattice)][zero] = pairs[zero]
+    return _unstack(lattice, modes, plus), _unstack(lattice, modes, minus), _unstack(lattice, modes, ker)
 
 
 # ---------------------------------------------------------------------------

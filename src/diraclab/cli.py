@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -67,6 +66,13 @@ def _as_int(value: object, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def _as_number(value: object, what: str) -> float:
+    """A finite JSON number (not a boolean) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _require_object(config: dict, key: str) -> dict:
     obj = config.get(key)
     if not isinstance(obj, dict):
@@ -119,12 +125,21 @@ def _parse_symbol(obj: dict, lattice: ModeLattice, rng: np.random.Generator | No
         sub = _load_config(obj["file"])
         return _parse_symbol(sub, lattice, rng)
     if "random" in obj:
-        spec = obj["random"]
+        spec = _require_object(obj, "random")
         _check_keys(spec, {"bandwidth", "offsets"}, "symbol.random")
         if rng is None:
             raise ConfigError("random symbols need a seed in the config")
-        offsets = tuple(float(x) for x in spec["offsets"]) if "offsets" in spec else None
-        return random_symbol(lattice, rng, float(spec.get("bandwidth", 1.0)), offsets=offsets)
+        bandwidth = _as_number(spec.get("bandwidth", 1.0), "'symbol.random.bandwidth'")
+        offsets = spec.get("offsets")
+        if offsets is not None and (
+            not isinstance(offsets, list)
+            or len(offsets) != lattice.dim_link
+            or any(isinstance(x, bool) or x not in (0, 0.5) for x in offsets)
+        ):
+            raise ConfigError(
+                f"'symbol.random.offsets' must list {lattice.dim_link} values, each 0 or 0.5, got {offsets!r}"
+            )
+        return random_symbol(lattice, rng, bandwidth, offsets=None if offsets is None else tuple(map(float, offsets)))
     dim = lattice.dim_link
     return SymbolData(
         dim=dim,
@@ -149,12 +164,9 @@ def _parse_run(config: dict, seed: int | None) -> tuple[ModeLattice, SymbolData,
         tag = SubspaceTag(config.get("domain", "ExpMinus"))
     except ValueError as exc:
         raise ConfigError(f"unknown domain {config['domain']!r}; known: {[t.value for t in SubspaceTag]}") from exc
-    try:
-        tol = float(config.get("tol_rel", 1e-8))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'tol_rel' must be a number: {exc}") from exc
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"'tol_rel' must be positive and finite, got {tol}")
+    tol = _as_number(config.get("tol_rel", 1e-8), "'tol_rel'")
+    if not tol > 0.0:
+        raise ConfigError(f"'tol_rel' must be positive, got {tol}")
     return lattice, symbol, cutoffs, tag, tol
 
 
@@ -218,6 +230,10 @@ def cmd_index(config: dict, out: str | None, seed: int | None) -> int:
         "index config",
     )
     lattice, symbol, cutoffs, tag, tol = _parse_run(config, seed)
+    if "expect_index_real" in config:
+        _as_int(config["expect_index_real"], "'expect_index_real'")
+    if "expect_index_complex" in config:
+        _as_number(config["expect_index_complex"], "'expect_index_complex'")
     report = stabilized_index(symbol, lattice, cutoffs, tag, tol_rel=tol)
 
     result = report.to_dict()
@@ -280,6 +296,7 @@ def cmd_verify(config: dict, out: str | None, seed: int | None) -> int:
         raise ConfigError("a seed is mandatory for randomized suites")
     results = {}
     all_ok = True
+    verify_mod.reset_symbol_memo()
     for name in suites:
         rng = np.random.default_rng(seed) if seed is not None else None
         ok, payload = verify_mod.run_suite(name, config, rng)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryField, SubspaceTag, pattern_second_weight, zero_mode_home
+from .boundary import BoundaryField, SubspaceTag, _cmul, pattern_second_weight, zero_mode_home
 from .errors import DomainError, NumericError
 from .lattice import Mode, ModeLattice, axis_coordinates, box_keys, enumerate_modes
 
@@ -161,26 +161,9 @@ def poly_conj(poly: TrigPoly) -> TrigPoly:
     return {tuple(-c for c in key): coeff.conjugate() for key, coeff in poly.items()}
 
 
-def poly_mul(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    out: TrigPoly = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            out[key] = out.get(key, 0.0 + 0.0j) + ca * cb
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def _doubled(keys: list[ModeKey], dim: int) -> np.ndarray:
     """Mode tuples as rows of doubled integers (2l, 2m), exact on half-integer lattices."""
     return np.rint(2.0 * np.array(keys, dtype=float).reshape(-1, dim)).astype(np.int64)
-
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise a * b by Python's complex product formula (numpy's may fuse multiply-adds)."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
 
 
 def _images(symbol: SymbolData, lam2: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,6 +200,18 @@ def _key_rows(keys: np.ndarray, table: np.ndarray | None = None) -> tuple[np.nda
     return table, grid[tuple(np.moveaxis(keys - lo, -1, 0))]
 
 
+def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> TrigPoly:
+    """Sum of the values per doubled key, added in the given order (``np.add.at``).
+
+    Keys are listed in order of first occurrence; exact-zero sums are dropped.
+    """
+    table, rows = _key_rows(keys)
+    total = np.zeros(len(table), dtype=complex)
+    np.add.at(total, rows, vals)
+    out_keys, out_vals = (table / 2).tolist(), total.tolist()
+    return {tuple(out_keys[r]): out_vals[r] for r in dict.fromkeys(rows.tolist()) if out_vals[r] != 0}
+
+
 def apply_T(symbol: SymbolData, fld: BoundaryField) -> TrigPoly:
     """Exact convolution image conj(d-)*a - d+*conj(b) of a boundary field.
 
@@ -233,11 +228,21 @@ def apply_T(symbol: SymbolData, fld: BoundaryField) -> TrigPoly:
                            np.repeat(y[:, None] != 0, len(symbol.d_plus), axis=1)), axis=1)
     if not used.any():
         return {}
-    table, rows = _key_rows(keys[used])
-    total = np.zeros(len(table), dtype=complex)
-    np.add.at(total, rows, vals[used])
-    out_keys, out_vals = (table / 2).tolist(), total.tolist()
-    return {tuple(out_keys[r]): out_vals[r] for r in dict.fromkeys(rows.tolist()) if out_vals[r] != 0}
+    return _sum_by_key(keys[used], vals[used])
+
+
+def poly_mul(a: TrigPoly, b: TrigPoly) -> TrigPoly:
+    """Product of two trigonometric polynomials on half-integer lattices.
+
+    Keys add as doubled integers; the products (Python's complex formula)
+    are summed per key in the loop order, ``a`` outer and ``b`` inner.
+    """
+    if not a or not b:
+        return {}
+    dim = len(next(iter(a)))
+    keys = _doubled(list(a), dim)[:, None] + _doubled(list(b), dim)
+    vals = _cmul(np.array(list(a.values()), dtype=complex)[:, None], np.array(list(b.values()), dtype=complex))
+    return _sum_by_key(keys.reshape(-1, dim), vals.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -288,28 +293,31 @@ def _axis_window(
     The reachable set on this axis is the union of the two convolution
     images of the domain interval; among all windows of the required length
     the one covering most of it wins, ties going to the most centered one.
+    Every coordinate is a half-integer, handled as its doubled integer, so
+    the coverage test is exact.
     """
-    intervals: list[tuple[float, float]] = []
+    lo2, hi2, off2 = round(2 * dom_lo), round(2 * dom_hi), round(2 * offset)
+    intervals: list[tuple[int, int]] = []
     if dm_axis:
-        intervals.append((dom_lo - max(dm_axis), dom_hi - min(dm_axis)))
+        intervals.append((lo2 - round(2 * max(dm_axis)), hi2 - round(2 * min(dm_axis))))
     if dp_axis:
-        intervals.append((min(dp_axis) - dom_hi, max(dp_axis) - dom_lo))
+        intervals.append((round(2 * min(dp_axis)) - hi2, round(2 * max(dp_axis)) - lo2))
     lo = min(i[0] for i in intervals)
     hi = max(i[1] for i in intervals)
 
-    # candidate windows start at first, first + 1, ... up to hi + 1; their
-    # scores are differences of a prefix sum of the covered mask
-    first = math.ceil(lo - offset - length) + offset
-    n_starts = math.floor(hi + 1.0 - first) + 1
-    xs = first + np.arange(n_starts + length - 1, dtype=float)
+    # candidate windows start at first, first + 1, ... up to hi + 1 (doubled:
+    # steps of 2); their scores are differences of a prefix sum of the covered mask
+    first = off2 - 2 * ((off2 + 2 * length - lo) // 2)  # doubled ceil((lo - offset)/2 - length) + offset
+    n_starts = (hi + 2 - first) // 2 + 1
+    xs = first + 2 * np.arange(n_starts + length - 1)
     covered = np.zeros(xs.shape, dtype=bool)
     for a, b in intervals:
-        covered |= (a - 1e-9 <= xs) & (xs <= b + 1e-9)
+        covered |= (a <= xs) & (xs <= b)
     prefix = np.concatenate(([0], np.cumsum(covered)))
     score = prefix[length:] - prefix[:n_starts]
     starts = xs[:n_starts]
-    center = (starts + (starts + (length - 1))) / 2.0
-    best = float(starts[np.lexsort((center, np.abs(center), -score))[0]])
+    center = starts + (length - 1)  # doubled window center
+    best = int(starts[np.lexsort((center, np.abs(center), -score))[0]]) / 2
     return [best + j for j in range(length)]
 
 

@@ -9,6 +9,7 @@ coefficient maps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ class ZeroModePolicy(str, Enum):
     ASSIGN_MINUS = "assign-minus"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mode:
     """One Fourier mode of the link; ``m`` is ``None`` on a circle link."""
 
@@ -129,7 +130,13 @@ def enumerate_modes(lattice: ModeLattice, cutoff: int | None = None) -> list[Mod
     every offset is zero.
     """
     n = lattice.cutoff if cutoff is None else cutoff
-    return [Mode(*key) for key in box_keys(lattice.offsets, n)]
+    return list(_box_modes(lattice.offsets, n))
+
+
+@functools.lru_cache(maxsize=64)
+def _box_modes(offsets: tuple[float, ...], bound: int) -> tuple[Mode, ...]:
+    """The modes of one cutoff box, built once, so that every list of them shares the objects."""
+    return tuple(Mode(*key) for key in box_keys(offsets, bound))
 
 
 def generalized_sign(mode: Mode) -> complex:

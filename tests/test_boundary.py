@@ -27,6 +27,7 @@ from diraclab import (
     split,
 )
 from diraclab.boundary import _angular_factor, random_field
+from diraclab.lattice import enumerate_modes
 from diraclab.radial import RadialMode, decaying_solution
 
 LAT1 = ModeLattice(dim_link=1, offset_t=0.5, cutoff=4)
@@ -306,3 +307,30 @@ def test_angular_factor_closed_form_matches_node_sum(n):
         assert abs(got - ref) < 1e-13, (delta, n, got, ref)
         if delta % n == 0:
             assert got == 2.0 * math.pi
+
+
+@pytest.mark.parametrize(
+    "lattice, mode, message",
+    [
+        (LAT2, Mode(1.0), "wrong dimension"),
+        (LAT1, Mode(0.5, 0.5), "wrong dimension"),
+        (LAT1, Mode(4.5), "outside the lattice cutoff"),
+        (LAT2, Mode(0.0, -4.0), "outside the lattice cutoff"),
+        (LAT1, Mode(1.0), "not on the lattice"),
+        (LAT2, Mode(0.5, 1.0), "not on the lattice"),
+        (LAT1, Mode(1.5 + 1e-12), "not on the lattice"),
+        (LAT2, Mode(1.0, 2.0 - 1e-12), "not on the lattice"),
+        (LAT1_TRIVIAL, Mode(4.0 + 1e-12), "outside the lattice cutoff"),
+    ],
+)
+def test_field_rejects_modes_off_the_lattice(lattice, mode, message):
+    with pytest.raises(DomainError, match=message):
+        field(lattice, {mode: (1.0, 0.0)})
+    with pytest.raises(DomainError, match=message):
+        field(lattice, {**{m: (1.0, 0.0) for m in enumerate_modes(lattice)}, mode: (1.0, 0.0)})
+
+
+def test_field_accepts_every_lattice_mode():
+    for lattice in (LAT1, LAT1_TRIVIAL, LAT2):
+        fld = field(lattice, {m: (1.0, 0.0) for m in enumerate_modes(lattice)})
+        assert len(fld.coefficients) == len(enumerate_modes(lattice))

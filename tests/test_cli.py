@@ -265,12 +265,27 @@ def test_malformed_cutoffs_are_input_error(tmp_path, capsys, command, cutoffs):
 
 
 @pytest.mark.parametrize("command", ["index", "sweep"])
-@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf"), "abc"])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf"), "abc", True])
 def test_bad_tol_rel_is_input_error(tmp_path, capsys, command, tol):
     config = dict(INDEX_3D, tol_rel=tol)
     config.pop("expect_index_real")
     err = _run_expect_input_error(tmp_path, capsys, command, config)
     assert "tol_rel" in err
+
+
+def test_non_integer_expected_index_is_input_error(tmp_path, capsys):
+    config = dict(INDEX_3D, expect_index_real="x")
+    assert "'expect_index_real'" in _run_expect_input_error(tmp_path, capsys, "index", config)
+
+
+@pytest.mark.parametrize("command", ["index", "sweep"])
+@pytest.mark.parametrize(
+    "spec, named", [({"bandwidth": "wide"}, "bandwidth"), ({"offsets": 5}, "offsets")], ids=["bandwidth", "offsets"]
+)
+def test_malformed_random_symbol_is_input_error(tmp_path, capsys, command, spec, named):
+    config = dict(INDEX_3D, symbol={"random": spec}, seed=3)
+    config.pop("expect_index_real")
+    assert named in _run_expect_input_error(tmp_path, capsys, command, config)
 
 
 @pytest.mark.parametrize("command", ["index", "sweep"])
@@ -334,3 +349,12 @@ def test_malformed_verify_config_is_input_error(tmp_path, capsys, config, named)
 def test_non_integer_ledger_input_is_input_error(tmp_path, capsys, key):
     err = _run_expect_input_error(tmp_path, capsys, "ledger", {"mode": "4D", key: "x"})
     assert key in err
+
+
+def test_each_verify_run_draws_its_own_symbols(tmp_path):
+    from diraclab import verify
+
+    for seed in (1, 2):
+        cfg = write_config(tmp_path / f"cfg{seed}.json", {"suites": ["eta"], "samples": 1, "seed": seed})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / f"r{seed}.json")]) == 0
+        assert len(verify._symbol_memo) == 2  # one symbol per lattice, none kept from the earlier run

@@ -24,7 +24,8 @@ from diraclab import (
     virtual_dimension_ledger,
     winding_number,
 )
-from diraclab import engine
+from diraclab import engine, verify
+from diraclab.boundary import pair_field
 from diraclab.engine import (
     _axis_window,
     _block_labels,
@@ -34,6 +35,7 @@ from diraclab.engine import (
     poly_mul,
     realified_multiplication_by_i,
 )
+from diraclab.verify import realify_field
 
 HALF1 = ModeLattice(dim_link=1, offset_t=0.5, cutoff=8)
 TRIV2 = ModeLattice(dim_link=2, offset_t=0.0, offset_s=0.0, cutoff=8)
@@ -419,28 +421,11 @@ def test_kernel_identity_exact_through_the_matrix():
     lat = ModeLattice(dim_link=1, offset_t=0.5, cutoff=6)
     sym = random_symbol(lat, rng, 1.5)
     eta = {(float(j),): complex(*rng.uniform(-1, 1, 2)) for j in range(-4, 5)}
-    u_plus = poly_mul(sym.d_plus, eta)
-    u_minus = poly_mul(sym.d_minus, poly_conj(eta))
-    coeffs = {}
-    for key, val in u_plus.items():
-        x, y = coeffs.get(Mode(*key), (0j, 0j))
-        coeffs[Mode(*key)] = (x + val, y)
-    for key, val in u_minus.items():
-        x, y = coeffs.get(Mode(*key), (0j, 0j))
-        coeffs[Mode(*key)] = (x, y + val)
-    fld = field(lat, coeffs)
+    fld = _kernel_field(lat, sym, eta)
     image = apply_T(sym, fld)
     assert max((abs(v) for v in image.values()), default=0.0) < 1e-13
     op = build_T_full(sym, lat, 6)
-    vec = np.zeros(len(op.col_basis))
-    idx = {desc: i for i, desc in enumerate(op.col_basis)}
-    for mode, (x, y) in fld.coefficients.items():
-        key = mode.as_tuple()
-        vec[idx[(key, "comp1", "re")]] = x.real
-        vec[idx[(key, "comp1", "im")]] = x.imag
-        vec[idx[(key, "comp2", "re")]] = y.real
-        vec[idx[(key, "comp2", "im")]] = y.imag
-    assert np.max(np.abs(op.matrix @ vec)) < 1e-13
+    assert np.max(np.abs(op.matrix @ realify_field(fld, op))) < 1e-13
 
 
 def test_reconstruct_eta_explicit_cases():
@@ -458,16 +443,7 @@ def test_reconstruct_eta_explicit_cases():
 
 
 def _kernel_field(lat, sym, eta):
-    u_plus = poly_mul(sym.d_plus, eta)
-    u_minus = poly_mul(sym.d_minus, poly_conj(eta))
-    coeffs = {}
-    for key, val in u_plus.items():
-        x, y = coeffs.get(Mode(*key), (0j, 0j))
-        coeffs[Mode(*key)] = (x + val, y)
-    for key, val in u_minus.items():
-        x, y = coeffs.get(Mode(*key), (0j, 0j))
-        coeffs[Mode(*key)] = (x, y + val)
-    return field(lat, coeffs)
+    return pair_field(lat, poly_mul(sym.d_plus, eta), poly_mul(sym.d_minus, poly_conj(eta)))
 
 
 def test_reconstruct_eta_rejects_non_kernel_data():
@@ -482,15 +458,7 @@ def test_reconstruct_eta_branch_consistency_guard():
     lat = ModeLattice(dim_link=1, offset_t=0.5, cutoff=6)
     sym = SymbolData(dim=1, d_plus={(0.5,): 1.0}, d_minus={(-0.5,): 1.0})
     # mismatched reparametrizations on the two components
-    u_plus = poly_mul(sym.d_plus, {(1.0,): 1.0 + 0j})
-    u_minus = poly_mul(sym.d_minus, poly_conj({(2.0,): 1.0 + 0j}))
-    coeffs = {}
-    for key, val in u_plus.items():
-        coeffs[Mode(*key)] = (val, 0j)
-    for key, val in u_minus.items():
-        x, y = coeffs.get(Mode(*key), (0j, 0j))
-        coeffs[Mode(*key)] = (x, y + val)
-    bad = field(lat, coeffs)
+    bad = pair_field(lat, poly_mul(sym.d_plus, {(1.0,): 1.0 + 0j}), poly_mul(sym.d_minus, poly_conj({(2.0,): 1.0 + 0j})))
     with pytest.raises(NumericError):
         reconstruct_eta(bad, sym, kernel_residual_tol=math.inf)
 
@@ -552,6 +520,29 @@ def test_random_symbol_is_seeded_and_nondegenerate():
     assert a.bandwidth <= 2.5
     lo, _ = a.nondegeneracy_minimum(256)
     assert lo > 0
+
+
+def test_verify_symbol_memo_returns_the_draw_and_its_generator_state(monkeypatch):
+    monkeypatch.setattr(verify, "_symbol_memo", {})
+    lat = ModeLattice(dim_link=2, offset_t=0.0, offset_s=0.0, cutoff=4)
+    fresh = np.random.default_rng(12)
+    want = [random_symbol(lat, fresh, 1.0) for _ in range(3)]
+    for _ in range(2):  # the second pass is served from the memo
+        rng = np.random.default_rng(12)
+        assert [verify._random_symbol(lat, rng, 1.0) for _ in range(3)] == want
+        assert rng.bit_generator.state == fresh.bit_generator.state
+    assert len(verify._symbol_memo) == 3
+
+
+def test_memoized_symbols_leave_suite_payloads_unchanged(monkeypatch):
+    """A suite whose symbols come from the memo reports what it reports alone."""
+    monkeypatch.setattr(verify, "_symbol_memo", {})
+    alone = verify.suite_cokernel({"samples": 3}, np.random.default_rng(8))
+    monkeypatch.setattr(verify, "_symbol_memo", {})
+    verify.suite_kernel_identity({"samples": 3}, np.random.default_rng(8))
+    assert len(verify._symbol_memo) == 6
+    assert verify.suite_cokernel({"samples": 3}, np.random.default_rng(8)) == alone
+    assert len(verify._symbol_memo) == 6
 
 
 def test_winding_diagnostic():
