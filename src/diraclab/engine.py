@@ -22,17 +22,21 @@ index in the trivial-offset torus model).
 
 Assembly.  Modes are keyed by doubled integers (2l, 2m), so mode
 arithmetic is exact.  One index-arithmetic kernel lists each convolution
-term's codomain key and value; one assembler writes them into the matrix
-(matched window or full reach) and :func:`apply_T` sums them in loop
-order.  Grid values come from one separable evaluator, E_l C E_m^T.
+term's codomain key and value; one assembler sums them per matrix cell
+(matched window or full reach) into the operator's exact nonzeros, kept as
+(row, column, value) arrays, and :func:`apply_T` sums them in loop order.
+The dense matrix is built only on demand.  Grid values come from one
+separable evaluator, E_l C E_m^T, which the nondegeneracy scan runs in
+blocks of rows.
 
 Rank decision.  The rank is decided per decoupled block: the connected
 components of the matrix's nonzero pattern (rows and columns joined by
 nonzero entries) are ranked by separate SVDs.  This is exact, since the
 matrix is a row and column permutation of a block-diagonal matrix and the
 singular values of such a matrix are the union of its blocks' values.  The
-minimal exponential torus symbols split into 1x1 or 2x2 blocks; symbols
-that couple every mode, such as random circle-link symbols with a
+blocks are filled from the nonzeros.  The minimal exponential torus symbols
+split into 1x1 or 2x2 blocks, so their ladders never hold a dense matrix;
+symbols that couple every mode, such as random circle-link symbols with a
 bandwidth, form one block and take a single dense SVD.
 
 Stabilization is evidence, not proof: an index is only claimed when the
@@ -56,6 +60,7 @@ ModeKey = tuple[float, ...]
 TrigPoly = dict[ModeKey, complex]
 
 NONDEGENERACY_GRID = 1024
+_GRID_CHUNK_POINTS = 1 << 16  # grid points per block of the nondegeneracy scan (1 MB per complex grid)
 STABLE_GAP = 1e3
 DEFAULT_TOL_REL = 1e-8
 
@@ -82,24 +87,31 @@ def _separate(keys: list[ModeKey], dim: int) -> tuple[list[list[float]], tuple[n
     return freqs, tuple(np.array([at[a][key[a]] for key in keys], dtype=int) for a in range(dim))
 
 
-def _waves(freqs: list[float], n: int, sign: float = 1.0) -> np.ndarray:
-    """exp(sign * i * f * x) on the n-point double-cover grid, one column per frequency f."""
-    return np.exp(sign * 1j * np.outer(4.0 * math.pi * np.arange(n) / n, freqs))
+def _waves(freqs: list[float], n: int, sign: float = 1.0, start: int = 0, count: int | None = None) -> np.ndarray:
+    """exp(sign * i * f * x) on the n-point double-cover grid, one column per frequency f.
+
+    Only the points ``start .. start + count - 1`` (all by default); each
+    value is bitwise the same as in the full grid.
+    """
+    points = np.arange(start, n if count is None else start + count)
+    return np.exp(sign * 1j * np.outer(4.0 * math.pi * points / n, freqs))
 
 
-def _poly_values(poly: TrigPoly, dim: int, n: int) -> np.ndarray:
+def _poly_values(poly: TrigPoly, dim: int, n: int, start: int = 0, count: int | None = None) -> np.ndarray:
     """Pointwise values on the n-per-axis double-cover grid [0, 4pi)^dim.
 
     Separable: with the coefficients in an array C over the distinct
     frequencies of each axis, the values are E_l C (or E_l C E_m^T on a
     torus), E_f being the n x #f matrix of exp(i f x).  The sums run over a
     few frequencies, so einsum does them: a BLAS product this thin gains
-    little and leaves its worker threads spinning.
+    little and leaves its worker threads spinning.  ``start`` and ``count``
+    select a block of rows (grid points on the first axis); the block's
+    values are bitwise those of the full grid.
     """
     freqs, index = _separate(list(poly), dim)
     coeffs = np.zeros([len(f) for f in freqs], dtype=complex)
     coeffs[index] = list(poly.values())
-    out = np.einsum("il,l...->i...", _waves(freqs[0], n), coeffs)
+    out = np.einsum("il,l...->i...", _waves(freqs[0], n, start=start, count=count), coeffs)
     return out if dim == 1 else np.einsum("im,jm->ij", out, _waves(freqs[1], n))
 
 
@@ -136,13 +148,27 @@ class SymbolData:
         return max(mags) if mags else 0.0
 
     def nondegeneracy_minimum(self, n: int = NONDEGENERACY_GRID) -> tuple[float, tuple[float, ...]]:
-        """Minimum of |d+|^2 + |d-|^2 on the sample grid, with its location."""
-        dp = _poly_values(self.d_plus, self.dim, n)
-        dm = _poly_values(self.d_minus, self.dim, n)
-        dens = np.abs(dp) ** 2 + np.abs(dm) ** 2
-        idx = np.unravel_index(int(np.argmin(dens)), dens.shape)
+        """Minimum of |d+|^2 + |d-|^2 on the sample grid, with its location.
+
+        The grid is evaluated in blocks of rows of at most
+        ``_GRID_CHUNK_POINTS`` points, so a 1024^2 torus grid never exists
+        whole.  The location is the first minimum in row-major order (the
+        first NaN, if any), as ``np.argmin`` gives on the whole grid.
+        """
+        rows = max(1, _GRID_CHUNK_POINTS // n ** (self.dim - 1))
+        values, flat = [], []
+        for start in range(0, n, rows):
+            count = min(rows, n - start)
+            dp = _poly_values(self.d_plus, self.dim, n, start, count)
+            dm = _poly_values(self.d_minus, self.dim, n, start, count)
+            dens = np.abs(dp) ** 2 + np.abs(dm) ** 2
+            at = int(np.argmin(dens))
+            values.append(dens.flat[at])
+            flat.append(start * n ** (self.dim - 1) + at)
+        best = int(np.argmin(values))  # first block holding the minimum
+        idx = np.unravel_index(flat[best], (n,) * self.dim)
         point = tuple(4.0 * math.pi * i / n for i in idx)
-        return float(dens[idx]), point
+        return float(values[best]), point
 
     def require_nondegenerate(self, n: int = NONDEGENERACY_GRID) -> None:
         if getattr(self, "_nondegenerate_grid", 0) >= n:
@@ -348,20 +374,43 @@ def codomain_window(symbol: SymbolData, lattice: ModeLattice, N_dom: int) -> lis
 
 @dataclass(frozen=True)
 class RealifiedOperator:
-    """Dense real matrix with basis descriptors for a real-linear map."""
+    """Real matrix of a real-linear map as its exact nonzeros, with basis descriptors.
 
-    matrix: np.ndarray
+    Entry k sits at row ``row[k]`` and column ``col[k]`` with value
+    ``value[k]``; each cell appears at most once and no value is zero.  The
+    shape is the number of row and column descriptors.  ``matrix`` builds
+    the dense form on demand, +0.0 in every absent cell.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
     row_basis: list[tuple[ModeKey, str]]
     col_basis: list[tuple[ModeKey, str, str]]
     domain_tag: str
     codomain_tag: str = "scalar"
 
     def __post_init__(self) -> None:
-        rows, cols = self.matrix.shape
-        if rows != len(self.row_basis) or cols != len(self.col_basis):
-            raise DomainError("matrix dimensions do not match basis descriptors")
+        rows, cols = self.shape
         if len(set(self.row_basis)) != rows or len(set(self.col_basis)) != cols:
             raise DomainError("basis descriptors must be duplicate-free")
+        if not (self.row.shape == self.col.shape == self.value.shape) or self.value.ndim != 1:
+            raise DomainError("row, column and value arrays must be one-dimensional and of one length")
+        if self.value.size and not (
+            0 <= self.row.min() and self.row.max() < rows and 0 <= self.col.min() and self.col.max() < cols
+        ):
+            raise DomainError("matrix entries lie outside the basis descriptors")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.row_basis), len(self.col_basis)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense real matrix."""
+        out = np.zeros(self.shape)
+        out[self.row, self.col] = self.value
+        return out
 
 
 def realified_multiplication_by_i(n_complex: int) -> np.ndarray:
@@ -396,7 +445,11 @@ def _assemble(
     fields (p1 u, p2 u) for u = 1 (column 2p) and u = i (column 2p + 1).
     The codomain is ``cod_modes`` (images elsewhere are trimmed) or, when
     None, every mode an image reaches.  A row hit by both parts of a column
-    sums them x-part first, as :func:`apply_T` does.
+    sums them x-part first, as :func:`apply_T` does, starting from 0.0 (one
+    ``np.add.at`` over complex values, which adds real and imaginary parts
+    separately); cells that sum to exactly zero are dropped, so the entries
+    are the nonzeros of the dense matrix.  Nothing is sorted and no dense
+    array of the matrix's shape is formed.
     """
     units = np.array([1.0, 1j])
     weights = np.array(pairs, dtype=complex)
@@ -406,15 +459,25 @@ def _assemble(
     keys, vals = _images(symbol, lam2, x, y)
     table = None if cod_modes is None else _doubled(cod_modes, symbol.dim)
     table, rows = _key_rows(keys, table)
-    col, term = np.nonzero(rows >= 0)
-    row = rows[col, term]
-    matrix = np.zeros((2 * len(table), len(lam2)))
-    np.add.at(matrix, (2 * row, col), vals[col, term].real)
-    np.add.at(matrix, (2 * row + 1, col), vals[col, term].imag)
+    # A column's d- keys lam - mu are distinct, and so are its d+ keys nu - lam;
+    # the two meet where mu = 2 lam - nu.  A cell thus sums at most two terms,
+    # and each d+ term is added into the slot of its d- partner, if any.
+    slot = np.arange(vals.size).reshape(vals.shape)
+    n_minus = len(symbol.d_minus)
+    if n_minus and symbol.d_plus:
+        mp, mm = _doubled(list(symbol.d_plus), symbol.dim), _doubled(list(symbol.d_minus), symbol.dim)
+        _, partner = _key_rows(2 * lam2[:, None] - mp, mm)
+        slot[:, n_minus:] = np.where(partner >= 0, slot[:, :1] + partner, slot[:, n_minus:])
+    sums = np.zeros(vals.size, dtype=complex)
+    np.add.at(sums, slot.ravel(), vals.ravel())
+    parts = sums.view(float).reshape(*vals.shape, 2)  # real and imaginary part of each slot
+    col, term, re_im = np.nonzero((rows >= 0)[..., None] & (parts != 0))
     if cod_modes is None:
         cod_modes = [tuple(key) for key in (table / 2).tolist()]
     return RealifiedOperator(
-        matrix=matrix,
+        row=2 * rows[col, term] + re_im,
+        col=col,
+        value=parts[col, term, re_im],
         row_basis=[(m, part) for m in cod_modes for part in ("re", "im")],
         col_basis=[(mode.as_tuple(), kind, part) for mode, kind in params for part in ("re", "im")],
         domain_tag=domain_tag,
@@ -481,20 +544,20 @@ class CutoffIndex:
         }
 
 
-def _block_labels(nonzero: np.ndarray) -> np.ndarray:
+def _block_labels(row: np.ndarray, col: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Connected-component labels of the rows, then the columns, of a pattern.
 
-    Rows are nodes ``0..R-1`` and columns nodes ``R..R+C-1`` of a bipartite
-    graph with one edge per nonzero entry.  Labels start as node indices and
-    only ever decrease to a label of the same component: each round hooks
-    both ends of every edge, and the labels of those ends, to the smaller of
-    the two ends' labels, then follows labels to their roots (pointer
-    jumping).  At the fixed point every edge joins equal labels, so each node
-    carries the smallest node index of its component.
+    The pattern is given by its entries' rows and columns.  Rows are nodes
+    ``0..R-1`` and columns nodes ``R..R+C-1`` of a bipartite graph with one
+    edge per entry.  Labels start as node indices and only ever decrease to
+    a label of the same component: each round hooks both ends of every
+    edge, and the labels of those ends, to the smaller of the two ends'
+    labels, then follows labels to their roots (pointer jumping).  At the
+    fixed point every edge joins equal labels, so each node carries the
+    smallest node index of its component.
     """
-    rows, cols = nonzero.shape
-    u, v = np.nonzero(nonzero)
-    v = v + rows
+    rows, cols = shape
+    u, v = row, col + rows
     labels = np.arange(rows + cols)
     while True:
         low = np.minimum(labels[u], labels[v])
@@ -511,20 +574,22 @@ def _block_labels(nonzero: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def _block_singular_values(matrix: np.ndarray) -> np.ndarray:
-    """All ``min(rows, cols)`` singular values of ``matrix``, in descending order.
+def _block_singular_values(op: RealifiedOperator) -> np.ndarray:
+    """All ``min(rows, cols)`` singular values of the operator, in descending order.
 
     The matrix is a row and column permutation of a block-diagonal matrix
     whose blocks are the connected components of its nonzero pattern, so its
     singular values are the union of the blocks' values, padded with exact
     zeros for the structurally empty rows and columns.  Blocks of one shape
-    share one batched SVD.  A single component covering every row and column
-    takes the dense SVD of the unpermuted matrix.
+    share one batched SVD, their stack filled from the operator's entries at
+    each entry's position within its block; the full matrix is never formed.
+    A single component covering every row and column takes the dense SVD of
+    the unpermuted matrix.
     """
-    rows, cols = matrix.shape
-    labels = _block_labels(matrix != 0)
+    rows, cols = op.shape
+    labels = _block_labels(op.row, op.col, op.shape)
     if not labels.any():
-        return np.linalg.svd(matrix, compute_uv=False)
+        return np.linalg.svd(op.matrix, compute_uv=False)
     row_labels, col_labels = labels[:rows], labels[rows:]
     row_order = np.argsort(row_labels, kind="stable")
     col_order = np.argsort(col_labels, kind="stable")
@@ -532,14 +597,27 @@ def _block_singular_values(matrix: np.ndarray) -> np.ndarray:
     col_count = np.bincount(col_labels, minlength=rows + cols)
     row_start = np.cumsum(row_count) - row_count
     col_start = np.cumsum(col_count) - col_count
+    # position of each row (column) within its block, in the stable label order
+    row_pos = np.empty(rows, dtype=int)
+    row_pos[row_order] = np.arange(rows) - row_start[row_labels[row_order]]
+    col_pos = np.empty(cols, dtype=int)
+    col_pos[col_order] = np.arange(cols) - col_start[col_labels[col_order]]
     blocks = np.flatnonzero((row_count > 0) & (col_count > 0))
     shapes = np.stack((row_count[blocks], col_count[blocks]), axis=1)
+    kinds, kind = np.unique(shapes, axis=0, return_inverse=True)
+    kind = kind.ravel()
+    block_kind = np.zeros(rows + cols, dtype=int)
+    block_kind[blocks] = kind
+    slot = np.zeros(rows + cols, dtype=int)  # each block's index within its shape group
+    entry_block = row_labels[op.row]
+    entry_kind = block_kind[entry_block]
     parts = [np.zeros(0)]
-    for r, c in np.unique(shapes, axis=0):
-        same = blocks[(shapes[:, 0] == r) & (shapes[:, 1] == c)]
-        block_rows = row_order[row_start[same][:, None] + np.arange(r)]
-        block_cols = col_order[col_start[same][:, None] + np.arange(c)]
-        stack = matrix[block_rows[:, :, None], block_cols[:, None, :]]
+    for g, (r, c) in enumerate(kinds):
+        same = blocks[kind == g]
+        slot[same] = np.arange(len(same))
+        mine = entry_kind == g
+        stack = np.zeros((len(same), r, c))
+        stack[slot[entry_block[mine]], row_pos[op.row[mine]], col_pos[op.col[mine]]] = op.value[mine]
         parts.append(np.linalg.svd(stack, compute_uv=False).ravel())
     sigma = np.zeros(min(rows, cols))
     merged = np.sort(np.concatenate(parts))[::-1]
@@ -556,16 +634,15 @@ def numerical_index(op: RealifiedOperator, tol_rel: float, cutoff: int = 0) -> C
     first dropped value (or the distance of the smallest kept value to the
     threshold when nothing is dropped).
     """
-    matrix = op.matrix
-    if matrix.size == 0:
+    rows, cols = op.shape
+    if rows * cols == 0:
         raise DomainError("cannot rank an empty operator")
-    sigma = _block_singular_values(matrix)
+    sigma = _block_singular_values(op)
     sigma_max = float(sigma[0])
     if sigma_max == 0.0:
         raise DomainError("degenerate operator: all singular values vanish")
     threshold = tol_rel * sigma_max
     rank = int(np.sum(sigma >= threshold))
-    rows, cols = matrix.shape
     dim_ker = cols - rank
     dim_coker = rows - rank
     if rank < len(sigma):
@@ -712,7 +789,7 @@ def _duality_residuals(
     _, at_minus = _key_rows(_doubled(list(symbol.d_minus), dim) - eta2[:, None], modes2)
     cp = np.array(list(symbol.d_plus.values()), dtype=complex)
     cm = np.array(list(symbol.d_minus.values()), dtype=complex)
-    fields = np.zeros((op.matrix.shape[1], len(eta2)))
+    fields = np.zeros((op.shape[1], len(eta2)))
     test = np.arange(len(eta2))[:, None]
     fields[4 * at_plus, test], fields[4 * at_plus + 1, test] = cp.real, cp.imag
     fields[4 * at_minus + 2, test], fields[4 * at_minus + 3, test] = cm.real, cm.imag

@@ -28,6 +28,12 @@ Exponentially decaying solutions are represented exactly through the
 half-integer Macdonald functions K, which have finite closed forms; this
 avoids the catastrophic I-branch cancellation that a large-r matching
 construction would have to fight.
+
+Every evaluator takes a scalar or a numpy array of ``r`` and runs one array
+code path.  Scalar calls work but are not a supported hot path: each pays
+the array set-up (about 144 us for a ``bessel_series`` call, 61 us for
+``modified_bessel_k_half``), so callers that need many radii pass them as
+one array.
 """
 
 from __future__ import annotations

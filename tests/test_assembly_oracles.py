@@ -111,6 +111,45 @@ def build_T_full_loop(symbol, lattice, N_dom):
     return matrix, row_basis, col_basis
 
 
+def assemble_add_at(symbol, params, pairs, cod_modes):
+    """The dense assembler the triplet operator replaced: ``np.add.at`` into a zero matrix."""
+    units = np.array([1.0, 1j])
+    weights = np.array(pairs, dtype=complex)
+    x = engine._cmul(weights[:, :1], units).ravel()
+    y = engine._cmul(weights[:, 1:], units).ravel()
+    lam2 = np.repeat(engine._doubled([mode.as_tuple() for mode, _ in params], symbol.dim), 2, axis=0)
+    keys, vals = engine._images(symbol, lam2, x, y)
+    table = None if cod_modes is None else engine._doubled(cod_modes, symbol.dim)
+    table, rows = engine._key_rows(keys, table)
+    col, term = np.nonzero(rows >= 0)
+    row = rows[col, term]
+    matrix = np.zeros((2 * len(table), len(lam2)))
+    np.add.at(matrix, (2 * row, col), vals[col, term].real)
+    np.add.at(matrix, (2 * row + 1, col), vals[col, term].imag)
+    return matrix
+
+
+def build_T_add_at(symbol, lattice, N_dom, tag):
+    params = engine._domain_params(lattice, N_dom, tag)
+    pairs = [engine._UNIT_PAIRS.get(kind) or (1.0, pattern_second_weight(tag, mode)) for mode, kind in params]
+    return assemble_add_at(symbol, params, pairs, engine.codomain_window(symbol, lattice, N_dom))
+
+
+def build_T_full_add_at(symbol, lattice, N_dom):
+    params = [(mode, comp) for mode in enumerate_modes(lattice, N_dom) for comp in ("comp1", "comp2")]
+    return assemble_add_at(symbol, params, [engine._UNIT_PAIRS[comp] for _, comp in params], None)
+
+
+def assert_same_matrix(op, matrix):
+    """The operator's dense form is ``matrix`` bitwise, and its entries are exactly the nonzeros."""
+    assert np.array_equal(op.matrix, matrix)
+    assert np.array_equal(np.signbit(op.matrix), np.signbit(matrix))
+    order = np.lexsort((op.col, op.row))
+    row, col = np.nonzero(matrix)
+    assert np.array_equal(op.row[order], row) and np.array_equal(op.col[order], col)
+    assert np.array_equal(op.value[order], matrix[row, col])
+
+
 def duality_residuals_loop(lattice, symbol, eta_cutoff, c_poly):
     out = []
     for eta_key in engine._eta_modes(lattice, symbol, eta_cutoff):
@@ -232,8 +271,8 @@ def test_build_T_is_bit_identical_to_the_per_column_assembler(lattice):
                         build_T(symbol, lattice, N, tag)
                     continue
                 op = build_T(symbol, lattice, N, tag)
-                assert np.array_equal(op.matrix, matrix), (seed, N, tag)
-                assert np.array_equal(np.signbit(op.matrix), np.signbit(matrix))
+                assert_same_matrix(op, matrix)
+                assert_same_matrix(op, build_T_add_at(symbol, lattice, N, tag))
                 assert op.row_basis == rows and op.col_basis == cols
 
 
@@ -243,8 +282,8 @@ def test_build_T_full_is_bit_identical_to_the_per_column_assembler(lattice):
         for N in range(1, 7):
             matrix, rows, cols = build_T_full_loop(symbol, lattice, N)
             op = build_T_full(symbol, lattice, N)
-            assert np.array_equal(op.matrix, matrix)
-            assert np.array_equal(np.signbit(op.matrix), np.signbit(matrix))
+            assert_same_matrix(op, matrix)
+            assert_same_matrix(op, build_T_full_add_at(symbol, lattice, N))
             assert op.row_basis == rows and op.col_basis == cols
 
 
@@ -293,6 +332,40 @@ def test_separable_grid_evaluator_matches_the_outer_product_sum(n):
         got, want = engine._poly_values(poly, dim, n), poly_values_loop(poly, dim, n)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(want), initial=0.0))
+
+
+def nondegeneracy_minimum_whole(symbol, n):
+    """The unchunked scan: both grids whole, then the first minimum in row-major order."""
+    dens = np.abs(engine._poly_values(symbol.d_plus, symbol.dim, n)) ** 2 \
+        + np.abs(engine._poly_values(symbol.d_minus, symbol.dim, n)) ** 2
+    idx = np.unravel_index(int(np.argmin(dens)), dens.shape)
+    return float(dens[idx]), tuple(4.0 * math.pi * i / n for i in idx)
+
+
+@pytest.mark.parametrize("chunk", [None, 64, 7 * 64])
+def test_chunked_nondegeneracy_scan_matches_the_whole_grid(monkeypatch, chunk):
+    if chunk is not None:  # blocks of one row, or of 7 and 4 rows with a short last block
+        monkeypatch.setattr(engine, "_GRID_CHUNK_POINTS", chunk)
+    rng = np.random.default_rng(16)
+    later_block = 0
+    for lattice in TORI:
+        for bandwidth in (1.0, 1.5):
+            symbol = random_symbol(lattice, rng, bandwidth)
+            for n in (64, 100) if chunk is not None else (1024,):
+                got, want = symbol.nondegeneracy_minimum(n), nondegeneracy_minimum_whole(symbol, n)
+                assert got[0].hex() == want[0].hex() and got[1] == want[1]
+                row = round(want[1][0] * n / (4.0 * math.pi))
+                later_block += row >= max(1, engine._GRID_CHUNK_POINTS // n)
+    assert later_block  # some minimum lies beyond the first block
+    # every row of a t-independent symbol is bitwise the same, so its minimum
+    # ties across all blocks; the first row's must win
+    flat = SymbolData(dim=2, d_plus={(0.0, 1.0): 0.5}, d_minus={(0.0, 2.0): 1.0, (0.0, 0.0): -0.7j})
+    n = 64 if chunk is not None else 1024
+    got, want = flat.nondegeneracy_minimum(n), nondegeneracy_minimum_whole(flat, n)
+    assert got[0].hex() == want[0].hex() and got[1] == want[1]
+    assert want[1][0] == 0.0 and want[1][1] > 0.0
+    circle = random_symbol(CIRCLES[1], rng, 3.0)
+    assert circle.nondegeneracy_minimum(256) == nondegeneracy_minimum_whole(circle, 256)
 
 
 def test_separable_projection_matches_the_mean_of_products():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,35 +241,47 @@ def test_codomain_window_matches_scan_on_ladder_configs(monkeypatch):
     assert fast == [codomain_window(sym, lat, n) for sym, lat, n in cases]
 
 
-def test_numerical_index_trivial_cases():
-    eye = np.eye(10)
-    op = RealifiedOperator(
-        matrix=eye,
-        row_basis=[((float(i),), p) for i in range(5) for p in ("re", "im")],
-        col_basis=[((float(i),), "pattern", p) for i in range(5) for p in ("re", "im")],
+def dense_op(matrix, row_basis=None, col_basis=None):
+    """Operator holding the nonzeros of a dense matrix, with placeholder bases by default."""
+    rows, cols = matrix.shape
+    row, col = np.nonzero(matrix)
+    return RealifiedOperator(
+        row=row,
+        col=col,
+        value=matrix[row, col],
+        row_basis=row_basis or [((float(i),), "re") for i in range(rows)],
+        col_basis=col_basis or [((float(i),), "pattern", "re") for i in range(cols)],
         domain_tag="ExpMinus",
     )
+
+
+def test_numerical_index_trivial_cases():
+    eye = np.eye(10)
+    col_basis = [((float(i),), "pattern", p) for i in range(5) for p in ("re", "im")]
+    op = dense_op(eye, [((float(i),), p) for i in range(5) for p in ("re", "im")], col_basis)
+    assert np.array_equal(op.matrix, eye)
     rec = numerical_index(op, 1e-8)
     assert (rec.dim_ker, rec.dim_coker, rec.index_real) == (0, 0, 0)
     padded = np.vstack([eye, np.zeros((2, 10))])
-    op2 = RealifiedOperator(
-        matrix=padded,
-        row_basis=[((float(i),), p) for i in range(6) for p in ("re", "im")],
-        col_basis=op.col_basis,
-        domain_tag="ExpMinus",
-    )
+    op2 = dense_op(padded, [((float(i),), p) for i in range(6) for p in ("re", "im")], col_basis)
+    assert op2.shape == (12, 10)
     rec2 = numerical_index(op2, 1e-8)
     assert (rec2.dim_ker, rec2.dim_coker, rec2.index_real) == (0, 2, -2)
     with pytest.raises(DomainError):
-        numerical_index(
-            RealifiedOperator(
-                matrix=np.zeros((2, 2)),
-                row_basis=[((0.0,), "re"), ((0.0,), "im")],
-                col_basis=[((0.0,), "pattern", "re"), ((0.0,), "pattern", "im")],
-                domain_tag="ExpMinus",
-            ),
-            1e-8,
-        )
+        numerical_index(dense_op(np.zeros((2, 2))), 1e-8)
+
+
+def test_realified_operator_validates_its_entries():
+    bases = dict(row_basis=[((0.0,), "re"), ((0.0,), "im")],
+                 col_basis=[((0.0,), "pattern", "re"), ((0.0,), "pattern", "im")], domain_tag="ExpMinus")
+    for row, col, value in (([0, 2], [0, 1], [1.0, 2.0]),  # row outside the row basis
+                            ([0, 1], [0, -1], [1.0, 2.0]),  # negative column
+                            ([0, 1], [0], [1.0, 2.0])):  # lengths differ
+        with pytest.raises(DomainError):
+            RealifiedOperator(row=np.array(row), col=np.array(col), value=np.array(value), **bases)
+    with pytest.raises(DomainError):
+        RealifiedOperator(row=np.zeros(0, int), col=np.zeros(0, int), value=np.zeros(0),
+                          **{**bases, "row_basis": [((0.0,), "re")] * 2})
 
 
 def test_numerical_index_explicit_torus_case():
@@ -283,14 +296,9 @@ def test_numerical_index_explicit_torus_case():
 def assert_same_rank_decision(matrix, tol_rel=1e-8):
     """Block and dense singular values agree to roundoff and give one rank decision."""
     rows, cols = matrix.shape
-    op = RealifiedOperator(
-        matrix=matrix,
-        row_basis=[((float(i),), "re") for i in range(rows)],
-        col_basis=[((float(i),), "pattern", "re") for i in range(cols)],
-        domain_tag="ExpMinus",
-    )
+    op = dense_op(matrix)
     dense = np.linalg.svd(matrix, compute_uv=False)
-    blocked = _block_singular_values(matrix)
+    blocked = _block_singular_values(op)
     assert blocked.shape == dense.shape
     assert np.max(np.abs(blocked - dense)) <= 1e-12 * dense[0]
     rec = numerical_index(op, tol_rel)
@@ -303,10 +311,10 @@ def test_block_singular_values_coupled_circle_is_the_dense_svd():
     for seed in range(4):
         sym = random_symbol(lat, np.random.default_rng(seed), 2.5)
         for n in (8, 16):
-            matrix = build_T(sym, lat, n, SubspaceTag.EXP_MINUS).matrix
-            assert not _block_labels(matrix != 0).any()  # one component
+            op = build_T(sym, lat, n, SubspaceTag.EXP_MINUS)
+            assert not _block_labels(op.row, op.col, op.shape).any()  # one component
             np.testing.assert_array_equal(
-                _block_singular_values(matrix), np.linalg.svd(matrix, compute_uv=False)
+                _block_singular_values(op), np.linalg.svd(op.matrix, compute_uv=False)
             )
 
 
@@ -315,9 +323,9 @@ def test_block_singular_values_explicit_torus_cases():
         lat = ModeLattice(dim_link=2, offset_t=offs[0], offset_s=offs[1], cutoff=8)
         sym = SymbolData(dim=2, d_plus={}, d_minus={offs: 1.3 * np.exp(0.7j)})
         for n in (4, 8):
-            matrix = build_T(sym, lat, n, SubspaceTag.EXP_MINUS).matrix
-            assert len(np.unique(_block_labels(matrix != 0))) > 1
-            assert_same_rank_decision(matrix)
+            op = build_T(sym, lat, n, SubspaceTag.EXP_MINUS)
+            assert len(np.unique(_block_labels(op.row, op.col, op.shape))) > 1
+            assert_same_rank_decision(op.matrix)
 
 
 def test_block_singular_values_on_permuted_block_diagonal():
@@ -333,7 +341,7 @@ def test_block_singular_values_on_permuted_block_diagonal():
     matrix[3:5, 3:5] = np.outer(rng.standard_normal(2), rng.standard_normal(2))
     matrix[10:15, 11:16] *= 1e-9
     matrix = matrix[rng.permutation(rows)][:, rng.permutation(cols)]
-    assert len(np.unique(_block_labels(matrix != 0))) == len(shapes) + 2 + 3
+    assert len(np.unique(_block_labels(*np.nonzero(matrix), matrix.shape))) == len(shapes) + 2 + 3
     for tol in (1e-12, 1e-8, 1e-6):
         assert_same_rank_decision(matrix, tol)
     assert_same_rank_decision(matrix.T)
@@ -346,14 +354,30 @@ def test_stabilized_index_sees_near_null_value_in_one_small_block():
     # value 50x above the rank threshold while every other block is O(1)
     sym = SymbolData(dim=2, d_plus={(2.0, 0.0): 1.0 - 1e-6}, d_minus={(0.0, 0.0): 1.0})
     lat = ModeLattice(dim_link=2, offset_t=0.0, offset_s=0.0, cutoff=8)
-    matrix = build_T(sym, lat, 8, SubspaceTag.EXP_MINUS).matrix
-    assert len(np.unique(_block_labels(matrix != 0))) > 100
-    assert_same_rank_decision(matrix)
+    op = build_T(sym, lat, 8, SubspaceTag.EXP_MINUS)
+    assert len(np.unique(_block_labels(op.row, op.col, op.shape))) > 100
+    assert_same_rank_decision(op.matrix)
     rep = stabilized_index(sym, lat, [4, 6, 8], SubspaceTag.EXP_MINUS)
     assert not rep.stable
     assert rep.index_real is None
     assert all(g < 1e3 for g in rep.spectral_gap)
     assert rep.dim_ker == [0, 0, 0]
+
+
+def test_torus_ladder_to_cutoff_32_never_holds_a_dense_matrix():
+    # the dense matrix at N = 32 alone is 8450 x 8448 doubles (571 MB)
+    lat = ModeLattice(dim_link=2, offset_t=0.0, offset_s=0.0, cutoff=32)
+    sym = SymbolData(dim=2, d_plus={}, d_minus={(0.0, 0.0): 0.8 - 0.9j})
+    tracemalloc.start()
+    try:
+        rep = stabilized_index(sym, lat, [16, 24, 32], SubspaceTag.EXP_MINUS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert rep.dim_ker == [0, 0, 0]
+    assert [c.index_real for c in rep.per_cutoff] == [-2, -2, -2]
+    assert [(c.rows, c.cols) for c in rep.per_cutoff][-1] == (8450, 8448)
 
 
 def test_stabilized_index_spec_cases():
