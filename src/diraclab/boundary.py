@@ -12,13 +12,19 @@ with the zero mode routed to the link-kernel summand (or absorbed into a
 half, per the lattice policy on a circle link).  The mirrored families use
 the conjugated sign: e0 maps the plus/minus patterns exactly onto them.
 
-Array kernels.  :func:`split` and :func:`project` stack a field's pairs into
-one (n, 2) array and work on all modes at once.  The pattern weights come
-from the scalar :func:`pattern_second_weight`, cached per lattice, and every
-complex product goes through :func:`_cmul`, Python's product formula, so
-each mode's result is bitwise what the scalar formulas give.  Validation is
-exact and cached too: a field's modes must be members of its lattice's mode
-set.
+Array kernels.  :func:`project` and :func:`split` are thin wrappers over
+row kernels (``_project_rows``, ``_split_rows``) that take a lattice, the
+lattice row of each pair and the pairs as an (n, 2) complex array.  Both
+act mode by mode, so rows from many fields can be stacked into one call.
+The pattern weights come from the scalar :func:`pattern_second_weight`,
+cached per lattice, and every complex product goes through :func:`_cmul`,
+Python's product formula, so each mode's result is bitwise what the scalar
+formulas give.  Validation is exact and cached too: a field's modes must be
+members of its lattice's mode set.  :func:`random_field` is one call of the
+draw kernel ``_draw_pairs``, which draws the pairs of many consecutive
+fields from one ``random_raw`` call of a PCG64 bit generator and decodes the
+words as numpy's per-mode ``uniform``/``choice`` calls would, leaving the
+generator in the same state; any other generator is rejected.
 
 Floating point caveat: rounding the two halves of an orthogonal split
 independently loses the sum-to-identity by an occasional ulp.
@@ -67,9 +73,14 @@ def _mode_rows(lattice: ModeLattice) -> dict[Mode, int]:
     return {mode: i for i, mode in enumerate(enumerate_modes(lattice))}
 
 
+def _mode_count(lattice: ModeLattice) -> int:
+    """Number of lattice modes, without listing them."""
+    return math.prod(lattice.axis_count(axis) for axis in range(lattice.dim_link))
+
+
 def _zero_row(lattice: ModeLattice) -> int:
     """Row of the zero mode, -1 without one: the middle of the symmetric, sorted box."""
-    return len(_mode_rows(lattice)) // 2 if lattice.contains_zero_mode else -1
+    return _mode_count(lattice) // 2 if lattice.contains_zero_mode else -1
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,16 +167,47 @@ def field_scale(a: BoundaryField, c: complex) -> BoundaryField:
     return field(a.lattice, {m: (c * x, c * y) for m, (x, y) in a.coefficients.items()})
 
 
+def _draw_pairs(lattice: ModeLattice, rng: np.random.Generator, balanced: bool, count: int) -> np.ndarray:
+    """The pairs of ``count`` consecutive :func:`random_field` draws, shape (count, modes, 2).
+
+    Per mode, a field draws four uniforms (``rng.uniform(0.25, 1.0, 4)``
+    when ``balanced``, else ``rng.uniform(-1.0, 1.0, 4)``) and, when
+    ``balanced``, four signs (``rng.choice([-1.0, 1.0], 4)``).  All of them
+    come from one ``random_raw`` call, decoded as numpy does: a uniform is
+    ``low + (high - low) * ((w >> 11) * 2**-53)`` of one 64-bit word, and a
+    sign is the top bit of a 32-bit half, the low half first, so two words
+    give four signs.  A half the generator holds from an earlier 32-bit draw
+    is used first, and the last unused half is left behind, so the
+    generator's state, ``uinteger`` included, is the one the per-mode calls
+    leave.  Only a PCG64 bit generator (``np.random.default_rng``) is
+    accepted: the decoding is PCG64's.
+    """
+    bitgen = rng.bit_generator if isinstance(rng, np.random.Generator) else None
+    if type(bitgen) is not np.random.PCG64:
+        raise DomainError(f"random fields need a PCG64 generator (np.random.default_rng), got {rng!r}")
+    shape = (count, _mode_count(lattice), 6 if balanced else 4)
+    words = bitgen.random_raw(math.prod(shape)).reshape(shape)
+    low, high = (0.25, 1.0) if balanced else (-1.0, 1.0)
+    values = low + (high - low) * ((words[..., :4] >> 11) * 2.0**-53)
+    if balanced and words.size:
+        halves = np.stack((words[..., 4:] & 0xFFFFFFFF, words[..., 4:] >> 32), axis=-1).ravel()
+        state = bitgen.state
+        if state["has_uint32"]:
+            halves = np.roll(halves, 1)
+            halves[0] = state["uinteger"]
+        state["uinteger"] = int(words[-1, -1, -1] >> 32)
+        bitgen.state = state
+        values *= np.where(halves.reshape(values.shape) >> 31, 1.0, -1.0)
+    return values.view(complex)
+
+
 def random_field(lattice: ModeLattice, rng: np.random.Generator, balanced: bool = True) -> BoundaryField:
-    """Seeded random field; ``balanced`` keeps both components at unit scale."""
-    coeffs: dict[Mode, Pair] = {}
-    for mode in enumerate_modes(lattice):
-        if balanced:
-            re1, im1, re2, im2 = rng.uniform(0.25, 1.0, 4) * rng.choice([-1.0, 1.0], 4)
-        else:
-            re1, im1, re2, im2 = rng.uniform(-1.0, 1.0, 4)
-        coeffs[mode] = (complex(re1, im1), complex(re2, im2))
-    return field(lattice, coeffs)
+    """Seeded random field; ``balanced`` keeps both components at unit scale.
+
+    ``rng`` must be PCG64-backed (see :func:`_draw_pairs`).
+    """
+    pairs = _draw_pairs(lattice, rng, balanced, 1)[0].tolist()
+    return field(lattice, dict(zip(enumerate_modes(lattice), pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +273,9 @@ def _unstack(lattice: ModeLattice, modes: list[Mode], pairs: np.ndarray) -> Boun
     return BoundaryField(lattice, {modes[i]: (x, y) for i, (x, y) in zip(keep, pairs[keep].tolist())})
 
 
-def project(fld: BoundaryField, tag: SubspaceTag) -> BoundaryField:
-    """Project a field onto a tagged subspace, mode by mode.
-
-    At a nonzero mode the pair (x, y) goes to (c, w c) with c = (x + conj(w) y)/2,
-    the orthogonal projection onto span(1, w).  A pair already satisfying
-    y == w x bitwise is kept unchanged, which makes repeated projection
-    exactly idempotent.
-    """
-    lattice = fld.lattice
+def _project_rows(lattice: ModeLattice, at: np.ndarray, pairs: np.ndarray, tag: SubspaceTag) -> np.ndarray:
+    """:func:`project` of the (n, 2) ``pairs`` sitting at lattice rows ``at``; the projected pairs."""
     _validate_tag(lattice, tag)
-    modes, at, pairs = _stack(fld)
     out = np.zeros_like(pairs)
     if tag is not SubspaceTag.KER_DSIGMA:
         x, y = pairs.T
@@ -256,7 +290,19 @@ def project(fld: BoundaryField, tag: SubspaceTag) -> BoundaryField:
     )
     zero = at == _zero_row(lattice)
     out[zero] = pairs[zero] if takes_zero else 0
-    return _unstack(lattice, modes, out)
+    return out
+
+
+def project(fld: BoundaryField, tag: SubspaceTag) -> BoundaryField:
+    """Project a field onto a tagged subspace, mode by mode.
+
+    At a nonzero mode the pair (x, y) goes to (c, w c) with c = (x + conj(w) y)/2,
+    the orthogonal projection onto span(1, w).  A pair already satisfying
+    y == w x bitwise is kept unchanged, which makes repeated projection
+    exactly idempotent.
+    """
+    modes, at, pairs = _stack(fld)
+    return _unstack(fld.lattice, modes, _project_rows(fld.lattice, at, pairs, tag))
 
 
 def _complement_component(total: np.ndarray, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,22 +370,8 @@ def _pattern_split(pairs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.nda
     return pattern[pick], rest.view(complex)[pick], ok[pick]
 
 
-def split(fld: BoundaryField) -> tuple[BoundaryField, BoundaryField, BoundaryField]:
-    """Exact three-way partition (plus, minus, kernel) of a field.
-
-    One half is pattern-pure and the other is its exact complement
-    (off-pattern by ulps); ``plus + minus + kernel`` reproduces the input
-    bitwise, unconditionally.  A pair already on the plus (minus) pattern
-    goes whole to that half.  When some component of the complement cannot
-    round onto the input (a round-to-even parity lock), the pattern
-    coefficient is moved by up to two ulps, which breaks the alignment.  If
-    no plus-side candidate works, the complement's binade is too coarse and
-    the minus half carries the pure pattern instead; if neither side works
-    (heavy cancellation between the pattern halves), both halves get the
-    exactly halved pair.
-    """
-    lattice = fld.lattice
-    modes, at, pairs = _stack(fld)
+def _split_rows(lattice: ModeLattice, at: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`split` of the (n, 2) ``pairs`` sitting at lattice rows ``at``; the three parts' pairs."""
     w = _pattern_weights(lattice, SubspaceTag.EXP_PLUS)[at]
     v = _pattern_weights(lattice, SubspaceTag.EXP_MINUS)[at]
     x, y = pairs.T
@@ -360,7 +392,25 @@ def split(fld: BoundaryField) -> tuple[BoundaryField, BoundaryField, BoundaryFie
     plus[halved] = minus[halved] = _cmul(_HALF, pairs[halved])
     home = {SubspaceTag.EXP_PLUS: plus, SubspaceTag.EXP_MINUS: minus, SubspaceTag.KER_DSIGMA: ker}
     home[zero_mode_home(lattice)][zero] = pairs[zero]
-    return _unstack(lattice, modes, plus), _unstack(lattice, modes, minus), _unstack(lattice, modes, ker)
+    return plus, minus, ker
+
+
+def split(fld: BoundaryField) -> tuple[BoundaryField, BoundaryField, BoundaryField]:
+    """Exact three-way partition (plus, minus, kernel) of a field.
+
+    One half is pattern-pure and the other is its exact complement
+    (off-pattern by ulps); ``plus + minus + kernel`` reproduces the input
+    bitwise, unconditionally.  A pair already on the plus (minus) pattern
+    goes whole to that half.  When some component of the complement cannot
+    round onto the input (a round-to-even parity lock), the pattern
+    coefficient is moved by up to two ulps, which breaks the alignment.  If
+    no plus-side candidate works, the complement's binade is too coarse and
+    the minus half carries the pure pattern instead; if neither side works
+    (heavy cancellation between the pattern halves), both halves get the
+    exactly halved pair.
+    """
+    modes, at, pairs = _stack(fld)
+    return tuple(_unstack(fld.lattice, modes, part) for part in _split_rows(fld.lattice, at, pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -171,19 +171,23 @@ def _parse_run(config: dict, seed: int | None) -> tuple[ModeLattice, SymbolData,
 
 
 def _write_atomic(path: str, data: str) -> None:
+    """Write ``data`` to ``path`` through a temporary file and a rename; an OS error is a ConfigError."""
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix=target.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, str(target))
-    except BaseException:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix=target.name, suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(data)
+            os.replace(tmp, str(target))
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _plain(obj):
@@ -234,6 +238,9 @@ def cmd_index(config: dict, out: str | None, seed: int | None) -> int:
         _as_int(config["expect_index_real"], "'expect_index_real'")
     if "expect_index_complex" in config:
         _as_number(config["expect_index_complex"], "'expect_index_complex'")
+    dump = config.get("dump_matrices")
+    if dump is not None and not isinstance(dump, str):
+        raise ConfigError(f"'dump_matrices' must be a directory path string, got {dump!r}")
     report = stabilized_index(symbol, lattice, cutoffs, tag, tol_rel=tol)
 
     result = report.to_dict()
@@ -242,16 +249,14 @@ def cmd_index(config: dict, out: str | None, seed: int | None) -> int:
         "d_plus": [{"mode": list(k), "re": v.real, "im": v.imag} for k, v in sorted(symbol.d_plus.items())],
         "d_minus": [{"mode": list(k), "re": v.real, "im": v.imag} for k, v in sorted(symbol.d_minus.items())],
     }
-    if config.get("dump_matrices"):
-        dump_dir = Path(config["dump_matrices"])
-        dump_dir.mkdir(parents=True, exist_ok=True)
+    if dump:
         for n in cutoffs:
             op = build_T(symbol, lattice, n, tag)
             buf = io.StringIO()
             writer = csv.writer(buf)
             for row in op.matrix:
                 writer.writerow([f"{x:.17g}" for x in row])
-            _write_atomic(str(dump_dir / f"matrix_N{n}.csv"), buf.getvalue())
+            _write_atomic(str(Path(dump) / f"matrix_N{n}.csv"), buf.getvalue())
 
     code = EXIT_OK
     if not report.stable:
@@ -361,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config)
         seed = args.seed_override if args.seed_override is not None else config.get("seed")
-        seed = _as_int(seed, "'seed'") if seed is not None else None
+        seed = _as_int(seed, "'seed'", minimum=0) if seed is not None else None
         if args.command == "index":
             return cmd_index(config, args.out, seed)
         if args.command == "verify":

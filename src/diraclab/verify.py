@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import boundary, engine, radial
-from .boundary import SubspaceTag, convention_probe, field, pair_field, project, random_field, split
+from .boundary import SubspaceTag, convention_probe, pair_field
 from .errors import DomainError, NumericError
 from .lattice import Mode, ModeLattice, enumerate_modes
 from .radial import (
@@ -26,6 +26,7 @@ from .radial import (
 )
 
 GREEN_FLOOR = 1e-9  # roundoff plateau of the large-magnitude ladder integrands
+KERNEL_BLOCK_ROWS = 512  # rows per boundary row-kernel call: bounds the arrays a call builds
 _SYMBOL_MEMO_SIZE = 512
 _symbol_memo: dict[tuple, tuple[engine.SymbolData, dict]] = {}
 
@@ -193,7 +194,22 @@ def suite_green(config: dict) -> tuple[bool, dict]:
 
 
 def suite_splitting(config: dict, rng: np.random.Generator) -> tuple[bool, dict]:
-    """Projection algebra: idempotent, orthogonal, exact three-way sum."""
+    """Projection algebra: idempotent, orthogonal, exact three-way sum.
+
+    Each trial draws two balanced random fields X and Y and checks that
+    projecting plus(X) and minus(X) again changes nothing, that plus(X) and
+    minus(Y) are Hermitian-orthogonal, and that split(X) re-adds to X
+    exactly.  A lattice's fields are drawn in one call, X and Y alternating
+    as :func:`boundary.random_field` would draw them, and the trials go
+    through the boundary row kernels in blocks of at most
+    ``KERNEL_BLOCK_ROWS`` rows of X and Y.  Rows are compared with ``==``,
+    which is field equality, since a field holds exactly its nonzero rows;
+    the Hermitian pairing is summed in mode order with Python's complex
+    products, bitwise :func:`boundary.pairing_hermitian`.  Failures are
+    listed per trial in lattice and trial order.
+    """
+    samples = int(config.get("samples", 20))
+    plus_tag, minus_tag = SubspaceTag.EXP_PLUS, SubspaceTag.EXP_MINUS
     failures = []
     orth_worst = 0.0
     for lattice in (
@@ -202,25 +218,40 @@ def suite_splitting(config: dict, rng: np.random.Generator) -> tuple[bool, dict]
         ModeLattice(dim_link=2, offset_t=0.0, offset_s=0.0, cutoff=3),
         ModeLattice(dim_link=2, offset_t=0.5, offset_s=0.5, cutoff=3),
     ):
-        for trial in range(int(config.get("samples", 20))):
-            X = random_field(lattice, rng)
-            plus = project(X, SubspaceTag.EXP_PLUS)
-            minus = project(X, SubspaceTag.EXP_MINUS)
-            if project(plus, SubspaceTag.EXP_PLUS) != plus or project(minus, SubspaceTag.EXP_MINUS) != minus:
-                failures.append({"lattice": str(lattice), "trial": trial, "what": "idempotency"})
-            Y = random_field(lattice, rng)
-            orth = abs(
-                boundary.pairing_hermitian(
-                    project(X, SubspaceTag.EXP_PLUS), project(Y, SubspaceTag.EXP_MINUS)
-                )
+        modes = enumerate_modes(lattice)
+        n = len(modes)
+        drawn = boundary._draw_pairs(lattice, rng, True, 2 * samples)
+        per_block = max(1, KERNEL_BLOCK_ROWS // (2 * n))
+        for start in range(0, samples, per_block):
+            X = drawn[2 * start:2 * (start + per_block):2]
+            Y = drawn[2 * start + 1:2 * (start + per_block):2]
+            k = len(X)
+            at = np.tile(np.arange(n), k)
+            xs = X.reshape(-1, 2)
+            plus = boundary._project_rows(lattice, at, xs, plus_tag)
+            minus, minus_y = np.split(
+                boundary._project_rows(lattice, np.tile(at, 2), np.concatenate((xs, Y.reshape(-1, 2))), minus_tag), 2
             )
-            orth_worst = max(orth_worst, orth)
-            if orth > 1e-12 * max(1.0, X.norm() * Y.norm()):
-                failures.append({"lattice": str(lattice), "trial": trial, "what": "orthogonality", "value": orth})
-            p, m, kpart = split(X)
-            total = boundary.field_add(boundary.field_add(p, m), kpart)
-            if total != X:
-                failures.append({"lattice": str(lattice), "trial": trial, "what": "sum-to-identity"})
+            idempotent = (boundary._project_rows(lattice, at, plus, plus_tag) == plus).all(axis=1) & (
+                boundary._project_rows(lattice, at, minus, minus_tag) == minus
+            ).all(axis=1)
+            terms = boundary._cmul(plus, np.conj(minus_y)).sum(axis=1).reshape(k, n)
+            cross = np.add.accumulate(terms, axis=1)[:, -1]  # in mode order, as the pairing's loop
+            p, m, kpart = boundary._split_rows(lattice, at, xs)
+            exact = ((p + m) + kpart == xs).all(axis=1)
+            for i, (idem, total, adds_up) in enumerate(
+                zip(idempotent.reshape(k, n).all(axis=1), cross.tolist(), exact.reshape(k, n).all(axis=1))
+            ):
+                trial = start + i
+                if not idem:
+                    failures.append({"lattice": str(lattice), "trial": trial, "what": "idempotency"})
+                orth = abs(total)
+                orth_worst = max(orth_worst, orth)
+                norms = boundary._unstack(lattice, modes, X[i]).norm() * boundary._unstack(lattice, modes, Y[i]).norm()
+                if orth > 1e-12 * max(1.0, norms):
+                    failures.append({"lattice": str(lattice), "trial": trial, "what": "orthogonality", "value": orth})
+                if not adds_up:
+                    failures.append({"lattice": str(lattice), "trial": trial, "what": "sum-to-identity"})
     # decaying traces land exactly in the minus pattern
     big = ModeLattice(dim_link=2, offset_t=0.0, offset_s=0.0, cutoff=32)
     off_pattern = _trace_pattern_failures(big)
@@ -233,16 +264,19 @@ def suite_splitting(config: dict, rng: np.random.Generator) -> tuple[bool, dict]
 def _trace_pattern_failures(lattice: ModeLattice) -> list[Mode]:
     """Nonzero modes whose decaying trace the minus-pattern projection does not keep exactly.
 
-    :func:`project` acts mode by mode, so a field holding many traces gives
-    each trace's projection.  The traces go 512 modes to a field, which
-    bounds the memory of the arrays and fields built along the way.
+    The traces of all nonzero modes go through the projection row kernel,
+    ``KERNEL_BLOCK_ROWS`` rows a call; a row that comes back changed names
+    its mode.
     """
-    modes = [mode for mode in enumerate_modes(lattice) if not mode.is_zero]
+    modes = enumerate_modes(lattice)
+    at = np.array([i for i, mode in enumerate(modes) if not mode.is_zero], dtype=np.intp)
+    traces = np.array([decaying_trace(modes[i]) for i in at], dtype=complex).reshape(-1, 2)
     failures = []
-    for start in range(0, len(modes), 512):
-        traces = field(lattice, {mode: decaying_trace(mode) for mode in modes[start:start + 512]})
-        kept = project(traces, SubspaceTag.EXP_MINUS).coefficients
-        failures += [mode for mode, pair in traces.coefficients.items() if kept.get(mode) != pair]
+    for start in range(0, len(at), KERNEL_BLOCK_ROWS):
+        rows = at[start:start + KERNEL_BLOCK_ROWS]
+        block = traces[start:start + KERNEL_BLOCK_ROWS]
+        kept = boundary._project_rows(lattice, rows, block, SubspaceTag.EXP_MINUS)
+        failures += [modes[i] for i in rows[~(kept == block).all(axis=1)]]
     return failures
 
 

@@ -236,9 +236,9 @@ def test_cmd_index_unstable_exits_2(tmp_path, capsys):
     assert "unstable" in capsys.readouterr().err
 
 
-def _run_expect_input_error(tmp_path, capsys, command, config):
+def _run_expect_input_error(tmp_path, capsys, command, config, extra=()):
     cfg = write_config(tmp_path / "cfg.json", config)
-    assert main([command, "--config", cfg]) == 1
+    assert main([command, "--config", cfg, *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
@@ -358,3 +358,33 @@ def test_each_verify_run_draws_its_own_symbols(tmp_path):
         cfg = write_config(tmp_path / f"cfg{seed}.json", {"suites": ["eta"], "samples": 1, "seed": seed})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / f"r{seed}.json")]) == 0
         assert len(verify._symbol_memo) == 2  # one symbol per lattice, none kept from the earlier run
+
+
+BLOCKED = "<under a regular file>"
+
+
+@pytest.mark.parametrize(
+    "command, config, extra, named",
+    [
+        ("verify", {"suites": ["eta"], "samples": 1, "seed": -1}, [], "'seed'"),
+        ("verify", {"suites": ["eta"], "samples": 1, "seed": 1}, ["--seed-override", "-1"], "'seed'"),
+        ("verify", {"suites": ["bessel"]}, ["--out", BLOCKED], "cannot write"),
+        ("index", dict(INDEX_3D, dump_matrices=5), [], "'dump_matrices'"),
+        ("index", dict(INDEX_3D, dump_matrices=True), [], "'dump_matrices'"),
+        ("index", dict(INDEX_3D, dump_matrices=BLOCKED), [], "cannot write"),
+    ],
+    ids=["negative-seed", "negative-seed-override", "unwritable-out", "numeric-dump-matrices",
+         "boolean-dump-matrices", "unwritable-dump-matrices"],
+)
+def test_unusable_seed_or_output_path_is_input_error(tmp_path, capsys, command, config, extra, named):
+    """Each input exits 1 with a one-line message instead of a traceback."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")  # a directory cannot be made inside a regular file
+
+    def unblock(value):
+        return str(blocker / "sub") if value == BLOCKED else value
+
+    config = {key: unblock(value) for key, value in config.items()}
+    err = _run_expect_input_error(tmp_path, capsys, command, config, [unblock(arg) for arg in extra])
+    assert named in err
+    assert err.count("\n") == 1
