@@ -190,6 +190,23 @@ def _write_atomic(path: str, data: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _require_writable(path: str, directory: Path | None = None) -> None:
+    """Make the directory of ``path`` and a temporary file in it, then remove the file.
+
+    ``directory`` defaults to the parent of ``path``.  Run before any
+    computation, so an unusable output path fails at once, as a ConfigError
+    with the message the write of ``path`` would give.
+    """
+    directory = Path(path).parent if directory is None else directory
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(directory), suffix=".tmp")
+        os.close(fd)
+        os.unlink(tmp)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _plain(obj):
     """Coerce numpy scalars and other non-JSON leaves to plain Python types."""
     if isinstance(obj, np.bool_):
@@ -241,6 +258,10 @@ def cmd_index(config: dict, out: str | None, seed: int | None) -> int:
     dump = config.get("dump_matrices")
     if dump is not None and not isinstance(dump, str):
         raise ConfigError(f"'dump_matrices' must be a directory path string, got {dump!r}")
+    if out:
+        _require_writable(out)
+    if dump:
+        _require_writable(str(Path(dump) / f"matrix_N{cutoffs[0]}.csv"), Path(dump))
     report = stabilized_index(symbol, lattice, cutoffs, tag, tol_rel=tol)
 
     result = report.to_dict()
@@ -299,6 +320,8 @@ def cmd_verify(config: dict, out: str | None, seed: int | None) -> int:
     needs_seed = any(name in verify_mod.RANDOMIZED_SUITES for name in suites)
     if needs_seed and seed is None:
         raise ConfigError("a seed is mandatory for randomized suites")
+    if out:
+        _require_writable(out)
     results = {}
     all_ok = True
     verify_mod.reset_symbol_memo()
@@ -334,6 +357,8 @@ def cmd_sweep(config: dict, out: str | None, seed: int | None) -> int:
     lattice, symbol, cutoffs, tag, tol = _parse_run(config, seed)
     if len(cutoffs) < 2:
         raise ConfigError("sweep needs at least 2 cutoffs")
+    if out:
+        _require_writable(out)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["cutoff", "dim_ker", "dim_coker", "index_real", "gap"])

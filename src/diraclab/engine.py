@@ -35,9 +35,15 @@ nonzero entries) are ranked by separate SVDs.  This is exact, since the
 matrix is a row and column permutation of a block-diagonal matrix and the
 singular values of such a matrix are the union of its blocks' values.  The
 blocks are filled from the nonzeros.  The minimal exponential torus symbols
-split into 1x1 or 2x2 blocks, so their ladders never hold a dense matrix;
-symbols that couple every mode, such as random circle-link symbols with a
-bandwidth, form one block and take a single dense SVD.
+split into 1x1 or 2x2 blocks, so their ladders never hold a dense matrix.
+Symbols that couple every mode form one block.  With rows and columns
+ordered by mode size, a short symbol makes it a band matrix; when the band
+is narrow (BAND_FACTOR * (kl + ku + 1) <= min(rows, cols)) its singular
+values come from LAPACK band bidiagonalization without a dense matrix
+(:func:`_band_singular_values`; every random circle-link symbol of
+bandwidth 3 from N = 32 on).  A wider block, such as a random torus
+symbol's, or a numpy whose LAPACK lacks the routines, takes the dense SVD,
+which is also the tests' oracle.
 
 Stabilization is evidence, not proof: an index is only claimed when the
 real index agrees across the last three cutoffs and every truncation shows
@@ -46,6 +52,8 @@ a spectral gap of at least 1e3 around the rank threshold.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,6 +71,12 @@ NONDEGENERACY_GRID = 1024
 _GRID_CHUNK_POINTS = 1 << 16  # grid points per block of the nondegeneracy scan (1 MB per complex grid)
 STABLE_GAP = 1e3
 DEFAULT_TOL_REL = 1e-8
+# A single block is ranked in band storage when BAND_FACTOR * (kl + ku + 1)
+# <= min(rows, cols).  On 2 cores with OpenBLAS's default threads, at
+# 1024 x 1024 with kl + ku + 1 = 27 (the N = 256 circle operator, a ratio
+# of 38) the band path took 95-137 ms against 295-370 ms for the dense SVD;
+# at 256 x 256 (ratio 9.5) both took about 10 ms.
+BAND_FACTOR = 4
 
 
 def _poly_offsets(poly: TrigPoly, dim: int) -> tuple[float, ...] | None:
@@ -574,6 +588,85 @@ def _block_labels(row: np.ndarray, col: np.ndarray, shape: tuple[int, int]) -> n
         labels = new
 
 
+_LAPACK_COL_MAJOR = 102
+
+
+@functools.cache
+def _band_lapack() -> tuple | None:
+    """LAPACKE's dgbbrd and dbdsqr work routines from the LAPACK numpy links, or None if absent.
+
+    They are the 64-bit-integer symbols of numpy's bundled scipy-openblas,
+    looked up through numpy's linalg extension (dlsym searches its
+    dependencies).  The pointer arguments are declared as C-contiguous
+    float64 arrays, so ctypes rejects any other buffer before the call.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        gbbrd = lib.scipy_LAPACKE_dgbbrd_work64_
+        bdsqr = lib.scipy_LAPACKE_dbdsqr_work64_
+    except (AttributeError, OSError):
+        return None
+    i64, f64 = ctypes.c_int64, np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+    # (layout, vect, m, n, ncc, kl, ku, ab, ldab, d, e, q, ldq, pt, ldpt, c, ldc, work)
+    gbbrd.argtypes = [ctypes.c_int, ctypes.c_char, *[i64] * 5, f64, i64, f64, f64,
+                      f64, i64, f64, i64, f64, i64, f64]
+    # (layout, uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work)
+    bdsqr.argtypes = [ctypes.c_int, ctypes.c_char, *[i64] * 4, f64, f64,
+                      f64, i64, f64, i64, f64, i64, f64]
+    gbbrd.restype = bdsqr.restype = i64
+    return gbbrd, bdsqr
+
+
+def _band_order(basis: list) -> np.ndarray:
+    """Positions of the basis entries sorted stably by the largest |coordinate| of their mode.
+
+    Compared as doubled integers, so the order is exact.
+    """
+    size = np.abs(_doubled([entry[0] for entry in basis], len(basis[0][0]))).max(axis=1)
+    position = np.empty(len(basis), dtype=np.int64)
+    position[np.argsort(size, kind="stable")] = np.arange(len(basis))
+    return position
+
+
+def _band_singular_values(op: RealifiedOperator) -> np.ndarray | None:
+    """All singular values of the operator by band bidiagonalization, or None.
+
+    Rows and columns are ordered by the size of their mode (:func:`_band_order`),
+    which makes a convolution operator with a short symbol a band matrix:
+    shifting or reflecting a mode moves its size by at most the symbol's
+    bandwidth.  The entries are written into LAPACK band storage (one
+    ``kl + ku + 1`` slot row per column; no dense matrix is formed), reduced
+    to bidiagonal form by ``dgbbrd`` and the bidiagonal's values taken by
+    ``dbdsqr``; both are backward stable, as the dense SVD is.  Returns
+    None when the band is wide, ``BAND_FACTOR * (kl + ku + 1) > min(rows,
+    cols)``, or the LAPACK routines are absent.
+    """
+    routines = _band_lapack()
+    if routines is None:
+        return None
+    gbbrd, bdsqr = routines
+    rows, cols = op.shape
+    i = _band_order(op.row_basis)[op.row]
+    j = _band_order(op.col_basis)[op.col]
+    kl, ku = max(0, int(np.max(i - j))), max(0, int(np.max(j - i)))
+    if BAND_FACTOR * (kl + ku + 1) > min(rows, cols):
+        return None
+    band = np.zeros((cols, kl + ku + 1))  # column-major kl + ku + 1 by cols: band[j, ku + i - j] = A[i, j]
+    band[j, ku + i - j] = op.value
+    n = min(rows, cols)
+    d, e = np.zeros(n), np.zeros(n)
+    unused = np.zeros(1)
+    info = gbbrd(_LAPACK_COL_MAJOR, b"N", rows, cols, 0, kl, ku, band, kl + ku + 1, d, e,
+                 unused, 1, unused, 1, unused, 1, np.zeros(2 * max(rows, cols)))
+    if info != 0:
+        raise NumericError(f"band bidiagonalization (dgbbrd) failed with info = {info}")
+    info = bdsqr(_LAPACK_COL_MAJOR, b"U" if rows >= cols else b"L", n, 0, 0, 0, d, e,
+                 unused, 1, unused, 1, unused, 1, np.zeros(4 * n))
+    if info != 0:
+        raise NumericError(f"bidiagonal SVD (dbdsqr) failed with info = {info}")
+    return d
+
+
 def _block_singular_values(op: RealifiedOperator) -> np.ndarray:
     """All ``min(rows, cols)`` singular values of the operator, in descending order.
 
@@ -583,13 +676,15 @@ def _block_singular_values(op: RealifiedOperator) -> np.ndarray:
     zeros for the structurally empty rows and columns.  Blocks of one shape
     share one batched SVD, their stack filled from the operator's entries at
     each entry's position within its block; the full matrix is never formed.
-    A single component covering every row and column takes the dense SVD of
-    the unpermuted matrix.
+    A single component covering every row and column is ranked in band
+    storage when its band is narrow (:func:`_band_singular_values`), and
+    otherwise takes the dense SVD of the unpermuted matrix.
     """
     rows, cols = op.shape
     labels = _block_labels(op.row, op.col, op.shape)
     if not labels.any():
-        return np.linalg.svd(op.matrix, compute_uv=False)
+        sigma = _band_singular_values(op)
+        return np.linalg.svd(op.matrix, compute_uv=False) if sigma is None else sigma
     row_labels, col_labels = labels[:rows], labels[rows:]
     row_order = np.argsort(row_labels, kind="stable")
     col_order = np.argsort(col_labels, kind="stable")

@@ -247,9 +247,13 @@ def suite_splitting(config: dict, rng: np.random.Generator) -> tuple[bool, dict]
                     failures.append({"lattice": str(lattice), "trial": trial, "what": "idempotency"})
                 orth = abs(total)
                 orth_worst = max(orth_worst, orth)
-                norms = boundary._unstack(lattice, modes, X[i]).norm() * boundary._unstack(lattice, modes, Y[i]).norm()
-                if orth > 1e-12 * max(1.0, norms):
-                    failures.append({"lattice": str(lattice), "trial": trial, "what": "orthogonality", "value": orth})
+                # the threshold 1e-12 * max(1, |X| |Y|) is never below 1e-12: a passing trial builds no field
+                if orth > 1e-12:
+                    norms = boundary._unstack(lattice, modes, X[i]).norm()
+                    norms *= boundary._unstack(lattice, modes, Y[i]).norm()
+                    if orth > 1e-12 * max(1.0, norms):
+                        failures.append({"lattice": str(lattice), "trial": trial, "what": "orthogonality",
+                                         "value": orth})
                 if not adds_up:
                     failures.append({"lattice": str(lattice), "trial": trial, "what": "sum-to-identity"})
     # decaying traces land exactly in the minus pattern

@@ -372,12 +372,22 @@ BLOCKED = "<under a regular file>"
         ("index", dict(INDEX_3D, dump_matrices=5), [], "'dump_matrices'"),
         ("index", dict(INDEX_3D, dump_matrices=True), [], "'dump_matrices'"),
         ("index", dict(INDEX_3D, dump_matrices=BLOCKED), [], "cannot write"),
+        ("index", INDEX_3D, ["--out", BLOCKED], "cannot write"),
+        ("sweep", {k: v for k, v in INDEX_3D.items() if k != "expect_index_real"}, ["--out", BLOCKED],
+         "cannot write"),
     ],
     ids=["negative-seed", "negative-seed-override", "unwritable-out", "numeric-dump-matrices",
-         "boolean-dump-matrices", "unwritable-dump-matrices"],
+         "boolean-dump-matrices", "unwritable-dump-matrices", "index-unwritable-out", "sweep-unwritable-out"],
 )
-def test_unusable_seed_or_output_path_is_input_error(tmp_path, capsys, command, config, extra, named):
-    """Each input exits 1 with a one-line message instead of a traceback."""
+def test_unusable_seed_or_output_path_is_input_error(tmp_path, capsys, monkeypatch, command, config, extra, named):
+    """Each input exits 1 with a one-line message instead of a traceback, before any ladder or suite runs."""
+    from diraclab import cli, verify
+
+    def no_computation(*args, **kwargs):
+        raise AssertionError("computation ran before the input error")
+
+    for module, name in ((cli, "stabilized_index"), (cli, "numerical_index"), (verify, "run_suite")):
+        monkeypatch.setattr(module, name, no_computation)
     blocker = tmp_path / "blocker"
     blocker.write_text("", encoding="utf-8")  # a directory cannot be made inside a regular file
 

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from diraclab import (
     RealifiedOperator,
     SubspaceTag,
     SymbolData,
+    ZeroModePolicy,
     apply_T,
     build_T,
     build_T_full,
@@ -29,6 +31,7 @@ from diraclab import engine, verify
 from diraclab.boundary import pair_field
 from diraclab.engine import (
     _axis_window,
+    _band_singular_values,
     _block_labels,
     _block_singular_values,
     codomain_window,
@@ -293,17 +296,22 @@ def test_numerical_index_explicit_torus_case():
     assert rec.index_real == -2
 
 
-def assert_same_rank_decision(matrix, tol_rel=1e-8):
-    """Block and dense singular values agree to roundoff and give one rank decision."""
-    rows, cols = matrix.shape
-    op = dense_op(matrix)
-    dense = np.linalg.svd(matrix, compute_uv=False)
+def assert_matches_dense_svd(op, tol_rels=(1e-8,)):
+    """The operator's singular values agree with the dense SVD's to roundoff and give its rank decisions."""
+    rows, cols = op.shape
+    dense = np.linalg.svd(op.matrix, compute_uv=False)
     blocked = _block_singular_values(op)
     assert blocked.shape == dense.shape
     assert np.max(np.abs(blocked - dense)) <= 1e-12 * dense[0]
-    rec = numerical_index(op, tol_rel)
-    rank = int(np.sum(dense >= tol_rel * dense[0]))
-    assert (rec.dim_ker, rec.dim_coker) == (cols - rank, rows - rank)
+    for tol_rel in tol_rels:
+        rec = numerical_index(op, tol_rel)
+        rank = int(np.sum(dense >= tol_rel * dense[0]))
+        assert (rec.dim_ker, rec.dim_coker) == (cols - rank, rows - rank)
+
+
+def assert_same_rank_decision(matrix, tol_rel=1e-8):
+    """Block and dense singular values agree to roundoff and give one rank decision."""
+    assert_matches_dense_svd(dense_op(matrix), (tol_rel,))
 
 
 def test_block_singular_values_coupled_circle_is_the_dense_svd():
@@ -316,6 +324,90 @@ def test_block_singular_values_coupled_circle_is_the_dense_svd():
             np.testing.assert_array_equal(
                 _block_singular_values(op), np.linalg.svd(op.matrix, compute_uv=False)
             )
+
+
+def circle_operator(seed, offset, n, tag=SubspaceTag.EXP_MINUS, policy=ZeroModePolicy.SEPARATE):
+    lat = ModeLattice(dim_link=1, offset_t=offset, cutoff=n, zero_mode_policy=policy)
+    return build_T(random_symbol(lat, np.random.default_rng(seed), 3.0), lat, n, tag)
+
+
+def test_band_path_resolves_and_ranks_circle_operators_without_a_dense_svd(monkeypatch):
+    routines = engine._band_lapack()
+    assert routines is not None
+    strided = np.zeros(4)[::2]
+    with pytest.raises(ctypes.ArgumentError):  # the declared pointer types reject a strided buffer
+        routines[1](engine._LAPACK_COL_MAJOR, b"U", 2, 0, 0, 0, strided, np.zeros(2),
+                    *[np.zeros(1), 1] * 3, np.zeros(8))
+    op = circle_operator(1, 0.5, 64)
+    assert not _block_labels(op.row, op.col, op.shape).any()  # one component
+    expected = np.linalg.svd(op.matrix, compute_uv=False)
+
+    def no_dense_svd(*args, **kwargs):
+        raise AssertionError("dense SVD called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_dense_svd)
+    band = _block_singular_values(op)
+    assert np.max(np.abs(band - expected)) <= 1e-12 * expected[0]
+
+
+def test_band_path_matches_dense_svd_on_random_circle_symbols():
+    for seed, offset in ((1, 0.0), (2, 0.5), (3, 0.5)):
+        for n in (64, 128, 256):
+            op = circle_operator(seed, offset, n)
+            assert _band_singular_values(op) is not None
+            assert_matches_dense_svd(op)
+
+
+def test_band_path_matches_dense_svd_for_every_tag_offset_and_zero_mode_policy():
+    surplus = set()  # rows - cols of the operators ranked in band storage
+    for offset in (0.0, 0.5):
+        for policy in ZeroModePolicy:
+            for tag in SubspaceTag:
+                try:
+                    op = circle_operator(4, offset, 48, tag, policy)
+                except DomainError:  # the tag's truncated domain is empty
+                    continue
+                if _band_singular_values(op) is not None:
+                    surplus.add(op.shape[0] - op.shape[1])
+                assert_matches_dense_svd(op)
+    assert surplus == {-2, 0, 2}
+
+
+def test_band_path_ranks_the_degenerate_circle_symbol_like_the_dense_svd():
+    # d+ = 1 - e^{-i} e^{it} vanishes at t = 1: sigma_min / sigma_max halves with each doubling of N
+    sym = SymbolData(dim=1, d_plus={(0.0,): 1.0, (1.0,): -np.exp(-1j)}, d_minus={(0.0,): 1e-300})
+    lat = ModeLattice(dim_link=1, offset_t=0.5, cutoff=512)
+    for n in (64, 512):
+        op = build_T(sym, lat, n, SubspaceTag.EXP_MINUS)
+        band = _band_singular_values(op)
+        ratio = band[-1] / band[0]
+        assert ratio < (1e-2 if n == 64 else 1e-3)
+        assert_matches_dense_svd(op, (ratio / 2, ratio * 2))
+
+
+def test_block_singular_values_without_the_band_routines_is_the_dense_svd(monkeypatch):
+    op = circle_operator(1, 0.0, 64)
+    monkeypatch.setattr(engine, "_band_lapack", lambda: None)
+    assert _band_singular_values(op) is None
+    np.testing.assert_array_equal(_block_singular_values(op), np.linalg.svd(op.matrix, compute_uv=False))
+
+
+def test_band_path_failure_is_a_numeric_error(monkeypatch):
+    op = circle_operator(1, 0.0, 64)
+    monkeypatch.setattr(engine, "_band_lapack", lambda: (lambda *args: -8, lambda *args: 0))
+    with pytest.raises(NumericError, match="dgbbrd"):
+        _block_singular_values(op)
+    monkeypatch.setattr(engine, "_band_lapack", lambda: (lambda *args: 0, lambda *args: 3))
+    with pytest.raises(NumericError, match="dbdsqr"):
+        _block_singular_values(op)
+
+
+def test_coupled_torus_block_is_wide_and_takes_the_dense_svd():
+    lat = ModeLattice(dim_link=2, offset_t=0.5, offset_s=0.5, cutoff=8)
+    op = build_T(random_symbol(lat, np.random.default_rng(3), 1.5), lat, 8, SubspaceTag.EXP_MINUS)
+    assert not _block_labels(op.row, op.col, op.shape).any()  # one component
+    assert _band_singular_values(op) is None
+    np.testing.assert_array_equal(_block_singular_values(op), np.linalg.svd(op.matrix, compute_uv=False))
 
 
 def test_block_singular_values_explicit_torus_cases():

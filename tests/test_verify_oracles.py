@@ -172,6 +172,32 @@ def test_injected_idempotency_failure_is_reported_alike(monkeypatch):
     assert payload_json(got) == payload_json(want)
 
 
+def test_injected_orthogonality_failure_is_reported_alike(monkeypatch):
+    """A minus projection that passes a few raw rows through unprojected fails orthogonality alike in both suites.
+
+    The passed rows are fixed points of the broken projection, so
+    idempotency still holds and the orthogonality check alone fires.
+    """
+    original = boundary._project_rows
+
+    def broken(lattice, at, pairs, tag):
+        out = original(lattice, at, pairs, tag)
+        if tag is SubspaceTag.EXP_MINUS:
+            x = pairs[:, 0]
+            hit = (x.real >= 0.6) & (x.real < 0.6 + 2**-11)
+            out[hit] = pairs[hit]
+        return out
+
+    monkeypatch.setattr(boundary, "_project_rows", broken)
+    got = verify.suite_splitting({"samples": 25}, np.random.default_rng(3))
+    want = suite_splitting_loop({"samples": 25}, np.random.default_rng(3))
+    assert got[0] is False
+    failures = got[1]["failures"]
+    assert [(f["what"], f["trial"]) for f in failures] == [("orthogonality", 18), ("orthogonality", 13)]
+    assert all(f["value"] > 0.1 for f in failures)
+    assert payload_json(got) == payload_json(want)
+
+
 def test_trace_check_builds_no_field_and_no_mode_table(monkeypatch):
     """The 3,481-mode torus goes through the projection kernel in seven blocks of rows."""
     built = []
