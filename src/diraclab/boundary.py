@@ -144,13 +144,60 @@ def pair_field(
     """Field (u+, u-) with first components from ``plus_poly`` and second from ``minus_poly``.
 
     The polynomials are keyed by mode tuples; modes are listed in order of
-    first occurrence, ``plus_poly`` first.
+    first occurrence, ``plus_poly`` first (:func:`_pair_stacks`).
     """
-    coeffs: dict[Mode, Pair] = {Mode(*key): (x, 0j) for key, x in plus_poly.items()}
-    for key, y in minus_poly.items():
-        mode = Mode(*key)
-        coeffs[mode] = (coeffs.get(mode, (0j, 0j))[0], y)
-    return field(lattice, coeffs)
+    plus_keys, minus_keys = list(plus_poly), list(minus_poly)
+    [(_, keys, pairs)] = _pair_stacks(
+        plus_keys, np.array([list(plus_poly.values())], dtype=complex).reshape(1, -1), np.ones((1, len(plus_keys)), bool),
+        minus_keys, np.array([list(minus_poly.values())], dtype=complex).reshape(1, -1), np.ones((1, len(minus_keys)), bool),
+    )
+    return field(lattice, {Mode(*key): (x, y) for key, (x, y) in zip(keys, pairs[0].tolist())})
+
+
+def _pair_stacks(
+    plus_keys: list, plus: np.ndarray, plus_present: np.ndarray,
+    minus_keys: list, minus: np.ndarray, minus_present: np.ndarray,
+) -> list[tuple[np.ndarray, list, np.ndarray]]:
+    """:func:`pair_field` of stacked polynomials, grouped by field pattern.
+
+    Trial t's u+ holds ``plus[t]`` at the ``plus_keys`` where
+    ``plus_present[t]``, and u- likewise; keys are any hashable mode labels.
+    As :func:`pair_field` lists them, a trial's field holds its present plus
+    keys in order, then its other present minus keys in order, less the
+    modes whose pair is exactly zero.  Trials whose fields list the same
+    modes, with zero components in the same places, form one group:
+    (positions of its trials, its keys, its pairs (trials, modes, 2)), in
+    order of first trial.
+    """
+    union = list(dict.fromkeys(plus_keys + minus_keys))
+    at = {key: i for i, key in enumerate(union)}
+    plus_at, minus_at = [at[key] for key in plus_keys], [at[key] for key in minus_keys]
+    trials, size = len(plus), len(union)
+    pairs = np.zeros((trials, size, 2), dtype=complex)
+    pairs[:, plus_at, 0] = np.where(plus_present, plus, 0)
+    pairs[:, minus_at, 1] = np.where(minus_present, minus, 0)
+    in_plus = np.zeros((trials, size), dtype=bool)
+    in_plus[:, plus_at] = plus_present
+    listed = in_plus.copy()
+    listed[:, minus_at] |= minus_present
+    nonzero = pairs != 0
+    listed &= nonzero.any(axis=2)
+    # a key listed from plus sits at its plus position, any other after every plus key
+    rank = np.full(size, len(plus_keys))
+    rank[minus_at] += np.arange(len(minus_keys))
+    plus_rank = np.zeros(size, dtype=int)
+    plus_rank[plus_at] = np.arange(len(plus_keys))
+    groups: dict[bytes, list[int]] = {}
+    pattern = np.packbits(np.concatenate((listed, in_plus, nonzero.reshape(trials, -1)), axis=1), axis=1)
+    for t, key in enumerate(map(bytes, pattern)):
+        groups.setdefault(key, []).append(t)
+    out = []
+    for members in groups.values():
+        first = members[0]
+        cols = np.flatnonzero(listed[first])
+        cols = cols[np.argsort(np.where(in_plus[first, cols], plus_rank[cols], rank[cols]), kind="stable")]
+        out.append((np.array(members), [union[c] for c in cols], pairs[members][:, cols]))
+    return out
 
 
 def field_add(a: BoundaryField, b: BoundaryField) -> BoundaryField:

@@ -8,13 +8,13 @@ generator passed in by the caller.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import boundary, engine, radial
-from .boundary import SubspaceTag, convention_probe, pair_field
-from .errors import DomainError, NumericError
+from .boundary import SubspaceTag, convention_probe
+from .errors import DomainError
 from .lattice import Mode, ModeLattice, enumerate_modes
 from .radial import (
     RadialMode,
@@ -284,117 +284,204 @@ def _trace_pattern_failures(lattice: ModeLattice) -> list[Mode]:
     return failures
 
 
+ALGEBRA_LATTICES = (
+    ModeLattice(dim_link=1, offset_t=0.5, cutoff=8),
+    ModeLattice(dim_link=2, offset_t=0.0, offset_s=0.0, cutoff=4),
+)
+_Trial = tuple[int, engine.SymbolData, list[tuple[float, ...]], np.ndarray]
+
+
+def _trial_blocks(lattice: ModeLattice, rng: np.random.Generator, samples: int) -> Iterator[list[_Trial]]:
+    """A lattice's trials, drawn in trial order and handed out in blocks.
+
+    A trial draws its symbol through the memo, then one uniform pair in
+    [-1, 1) per mode of the box its symbol's bandwidth leaves inside the
+    cutoff (its eta, or its c0), all in one call: the values and the
+    generator state of one call per mode.  Nothing else draws, so every
+    stream is the per-trial one.  A trial is (index, symbol, modes,
+    coefficients).  A block holds the trials whose candidate matrix entries
+    in the full-reach assembly (four columns per lattice mode, one term per
+    symbol coefficient, a real and an imaginary part per term) fit in
+    ``engine._GRID_CHUNK_POINTS``, and at least one trial.
+    """
+    bandwidth = 1.5 if lattice.offset_t == 0.5 else 1.0
+    columns = 8 * len(enumerate_modes(lattice))
+    block: list[_Trial] = []
+    held = 0
+    for trial in range(samples):
+        symbol = _random_symbol(lattice, rng, bandwidth)
+        keys = engine._eta_modes(lattice, symbol, lattice.cutoff - math.ceil(symbol.bandwidth))
+        coeffs = rng.uniform(-1.0, 1.0, 2 * len(keys)).view(complex)
+        terms = columns * (len(symbol.d_plus) + len(symbol.d_minus))
+        if block and held + terms > engine._GRID_CHUNK_POINTS:
+            yield block
+            block, held = [], 0
+        block.append((trial, symbol, keys, coeffs))
+        held += terms
+    if block:
+        yield block
+
+
+def _field_groups(
+    lattice: ModeLattice, block: list[_Trial], cokernel: bool
+) -> Iterator[tuple[list[int], engine._SymbolStack, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The block's test fields, stacked by pattern: (trials, symbols, coefficient modes, coefficients, field modes, pairs).
+
+    The kernel fields are (d+ eta, d- conj(eta)), built as
+    ``pair_field(poly_mul(d+, eta), poly_mul(d-, poly_conj(eta)))`` builds
+    them; the cokernel fields are (conj(c0) d+, c0 d-), as
+    ``pair_field(poly_mul(poly_conj(c0), d+), poly_mul(c0, d-))``.  Trials
+    are stacked by their symbols' keys (which fix their coefficient modes),
+    then by field pattern (:func:`boundary._pair_stacks`); modes are doubled
+    keys.
+    """
+    by_keys: dict[tuple, list[_Trial]] = {}
+    for item in block:
+        by_keys.setdefault((tuple(item[1].d_plus), tuple(item[1].d_minus)), []).append(item)
+    for items in by_keys.values():
+        symbols = engine._stack_symbols([symbol for _, symbol, _, _ in items])
+        keys2 = engine._doubled(items[0][2], lattice.dim_link)
+        coeffs = np.array([c for _, _, _, c in items]).reshape(len(items), -1)
+        if cokernel:
+            plus = engine._poly_products(-keys2, np.conj(coeffs), symbols.plus2, symbols.plus)
+            minus = engine._poly_products(keys2, coeffs, symbols.minus2, symbols.minus)
+        else:
+            plus = engine._poly_products(symbols.plus2, symbols.plus, keys2, coeffs)
+            minus = engine._poly_products(symbols.minus2, symbols.minus, -keys2, np.conj(coeffs))
+        (plus2, plus_vals), (minus2, minus_vals) = plus, minus
+        for at, modes, pairs in boundary._pair_stacks(
+            list(map(tuple, plus2.tolist())), plus_vals, plus_vals != 0,
+            list(map(tuple, minus2.tolist())), minus_vals, minus_vals != 0,
+        ):
+            lam2 = np.array(modes, dtype=np.int64).reshape(-1, lattice.dim_link)
+            yield [items[i][0] for i in at], symbols.take(at), keys2, coeffs[at], lam2, pairs
+
+
+def _realified(col_basis: list, lam2: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Realified coefficient vectors of stacked fields in a full-basis operator's column order, one row per trial.
+
+    A full-basis operator has four columns per mode (comp1 re/im, comp2 re/im).
+    """
+    modes2 = engine._doubled([key for key, _, _ in col_basis[::4]], lam2.shape[1])
+    _, rows = engine._key_rows(lam2, modes2)
+    vec = np.zeros((len(pairs), len(col_basis)))
+    vec[:, 4 * rows[:, None] + np.arange(4)] = np.stack((pairs.real, pairs.imag), axis=-1).reshape(len(pairs), -1, 4)
+    return vec
+
+
+def _distances(modes: list[tuple[float, ...]], got: np.ndarray, keys2: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Per trial, the largest |got - want| over the modes of either, as the dict polynomials' distance gives it.
+
+    ``got`` holds coefficients at ``modes``, zero where a mode is absent,
+    and ``want`` coefficients at the doubled ``keys2``.
+    """
+    got2 = engine._doubled(modes, keys2.shape[1])
+    table, rows = engine._key_rows(np.concatenate((got2, keys2)))
+    diff = np.zeros((len(got), len(table)), dtype=complex)
+    diff[:, rows[:len(got2)]] = got
+    diff[:, rows[len(got2):]] -= want
+    return np.hypot(diff.real, diff.imag).max(axis=1, initial=0.0)
+
+
+def _kernel_residuals(lattice: ModeLattice, block: list[_Trial]) -> dict[int, float]:
+    """Kernel-identity residual of each trial of a block, by trial index."""
+    residuals = {}
+    for trials, symbols, _, _, lam2, pairs in _field_groups(lattice, block, cokernel=False):
+        row_basis, col_basis, trial, row, col, value = engine._full_reach(symbols, lattice, lattice.cutoff)
+        shape = (len(row_basis), len(col_basis))
+        bounds = np.searchsorted(trial, np.arange(len(trials) + 1))
+        images = engine._image_maxima(symbols, lam2, pairs).tolist()
+        for t, (vec, conv_resid) in enumerate(zip(_realified(col_basis, lam2, pairs), images)):
+            entries = slice(bounds[t], bounds[t + 1])
+            matrix = engine._dense(shape, row[entries], col[entries], value[entries])
+            resid = float(np.max(np.abs(matrix @ vec))) if vec.size else 0.0
+            residuals[trials[t]] = max(resid, conv_resid)
+    return residuals
+
+
 def suite_kernel_identity(config: dict, rng: np.random.Generator) -> tuple[bool, dict]:
-    """Fields (d+ eta, d- conj(eta)) are annihilated by the assembled matrix."""
+    """Fields (d+ eta, d- conj(eta)) are annihilated by the assembled matrix.
+
+    Per trial, the residual is the larger of max |A v|, A the full-reach
+    matrix and v the realified kernel field, and the largest coefficient of
+    the field's convolution image.  The trials run through the kernels in
+    blocks (:func:`_trial_blocks`): one stacked assembly, product and image
+    pass per block and symbol key pattern; only the product A v is taken
+    trial by trial, on each trial's dense matrix, as BLAS rounds it.
+    """
     samples = int(config.get("samples", 50))
     worst = 0.0
     worst_case = None
-    for lattice in (
-        ModeLattice(dim_link=1, offset_t=0.5, cutoff=8),
-        ModeLattice(dim_link=2, offset_t=0.0, offset_s=0.0, cutoff=4),
-    ):
-        bandwidth = 1.5 if lattice.offset_t == 0.5 else 1.0
-        for trial in range(samples):
-            symbol = _random_symbol(lattice, rng, bandwidth)
-            eta_bw = lattice.cutoff - math.ceil(symbol.bandwidth)
-            eta = {
-                key: complex(*rng.uniform(-1.0, 1.0, 2))
-                for key in engine._eta_modes(lattice, symbol, eta_bw)
-            }
-            kernel_field = pair_field(
-                lattice, engine.poly_mul(symbol.d_plus, eta), engine.poly_mul(symbol.d_minus, engine.poly_conj(eta))
-            )
-            op = engine.build_T_full(symbol, lattice, lattice.cutoff)
-            vec = realify_field(kernel_field, op)
-            resid = float(np.max(np.abs(op.matrix @ vec))) if vec.size else 0.0
-            image = engine.apply_T(symbol, kernel_field)
-            conv_resid = max((abs(v) for v in image.values()), default=0.0)
-            resid = max(resid, conv_resid)
-            if resid > worst:
-                worst = resid
-                worst_case = {"lattice_dim": lattice.dim_link, "trial": trial, "residual": resid}
+    for lattice in ALGEBRA_LATTICES:
+        for block in _trial_blocks(lattice, rng, samples):
+            residuals = _kernel_residuals(lattice, block)
+            for trial in sorted(residuals):
+                if residuals[trial] > worst:
+                    worst = residuals[trial]
+                    worst_case = {"lattice_dim": lattice.dim_link, "trial": trial, "residual": worst}
     ok = worst < 1e-13
     return ok, {"max_residual": worst, "tolerance": 1e-13, "worst_case": worst_case}
 
 
-def realify_field(fld, op) -> np.ndarray:
-    """Realified coefficient vector of a field in a full-basis operator's column order.
+def _round_trips(lattice: ModeLattice, block: list[_Trial], cokernel: bool) -> dict[int, float | Exception]:
+    """Each trial's round-trip error, or its correspondence's error, by trial index.
 
-    A full-basis operator has four columns per mode (comp1 re/im, comp2 re/im).
+    The fields go through :func:`engine._cokernel_stack` (cokernel fields)
+    or :func:`engine._eta_stack` (kernel fields), the steps of
+    :func:`engine.cokernel_correspondence` and :func:`engine.reconstruct_eta`.
     """
-    dim = fld.lattice.dim_link
-    modes2 = engine._doubled([key for key, _, _ in op.col_basis[::4]], dim)
-    _, rows = engine._key_rows(engine._doubled([mode.as_tuple() for mode in fld.coefficients], dim), modes2)
-    pairs = np.array(list(fld.coefficients.values()), dtype=complex).reshape(-1, 2)
-    vec = np.zeros(len(op.col_basis))
-    vec[4 * rows[:, None] + np.arange(4)] = np.stack((pairs.real, pairs.imag), axis=-1).reshape(-1, 4)
-    return vec
+    outcomes: dict[int, float | Exception] = {}
+    correspondence = engine._cokernel_stack if cokernel else engine._eta_stack
+    for trials, symbols, keys2, coeffs, lam2, pairs in _field_groups(lattice, block, cokernel):
+        modes, got, errors = correspondence(lattice, symbols, lam2, pairs)
+        for trial, err, error in zip(trials, _distances(modes, got, keys2, coeffs).tolist(), errors):
+            outcomes[trial] = error or err
+    return outcomes
 
 
 def suite_eta(config: dict, rng: np.random.Generator) -> tuple[bool, dict]:
-    """Reparametrization round trips below 1e-10."""
+    """Reparametrization round trips below 1e-10.
+
+    The trials run in blocks (:func:`_round_trips`); the first trial, in
+    trial order, whose reconstruction fails raises its error.
+    """
     samples = int(config.get("samples", 50))
     worst = 0.0
     worst_case = None
-    for lattice in (
-        ModeLattice(dim_link=1, offset_t=0.5, cutoff=8),
-        ModeLattice(dim_link=2, offset_t=0.0, offset_s=0.0, cutoff=4),
-    ):
-        bandwidth = 1.5 if lattice.offset_t == 0.5 else 1.0
-        for trial in range(samples):
-            symbol = _random_symbol(lattice, rng, bandwidth)
-            eta_bw = lattice.cutoff - math.ceil(symbol.bandwidth)
-            eta = {
-                key: complex(*rng.uniform(-1.0, 1.0, 2))
-                for key in engine._eta_modes(lattice, symbol, eta_bw)
-            }
-            u = pair_field(
-                lattice, engine.poly_mul(symbol.d_plus, eta), engine.poly_mul(symbol.d_minus, engine.poly_conj(eta))
-            )
-            got = engine.reconstruct_eta(u, symbol)
-            err = _poly_distance(got, eta)
-            if err > worst:
-                worst = err
-                worst_case = {"lattice_dim": lattice.dim_link, "trial": trial, "error": err}
+    for lattice in ALGEBRA_LATTICES:
+        for block in _trial_blocks(lattice, rng, samples):
+            outcomes = _round_trips(lattice, block, cokernel=False)
+            for trial in sorted(outcomes):
+                err = outcomes[trial]
+                if isinstance(err, Exception):
+                    raise err
+                if err > worst:
+                    worst = err
+                    worst_case = {"lattice_dim": lattice.dim_link, "trial": trial, "error": err}
     ok = worst < 1e-10
     return ok, {"max_roundtrip_error": worst, "tolerance": 1e-10, "worst_case": worst_case}
 
 
-def _poly_distance(a: engine.TrigPoly, b: engine.TrigPoly) -> float:
-    keys = set(a) | set(b)
-    return max((abs(a.get(k, 0) - b.get(k, 0)) for k in keys), default=0.0)
-
-
 def suite_cokernel(config: dict, rng: np.random.Generator) -> tuple[bool, dict]:
-    """Cokernel-scalar round trips below 1e-10 with duality residual below 1e-8."""
+    """Cokernel-scalar round trips below 1e-10 with duality residual below 1e-8.
+
+    The trials run in blocks (:func:`_round_trips`); a trial whose
+    correspondence fails is listed, in trial order, with its error.
+    """
     samples = int(config.get("samples", 50))
     worst = 0.0
     worst_case = None
     failures = []
-    for lattice in (
-        ModeLattice(dim_link=1, offset_t=0.5, cutoff=8),
-        ModeLattice(dim_link=2, offset_t=0.0, offset_s=0.0, cutoff=4),
-    ):
-        bandwidth = 1.5 if lattice.offset_t == 0.5 else 1.0
-        for trial in range(samples):
-            symbol = _random_symbol(lattice, rng, bandwidth)
-            c_bw = lattice.cutoff - math.ceil(symbol.bandwidth)
-            c0 = {
-                key: complex(*rng.uniform(-1.0, 1.0, 2))
-                for key in engine._eta_modes(lattice, symbol, c_bw)
-            }
-            u = pair_field(
-                lattice, engine.poly_mul(engine.poly_conj(c0), symbol.d_plus), engine.poly_mul(c0, symbol.d_minus)
-            )
-            try:
-                got = engine.cokernel_correspondence(u, symbol)
-            except (DomainError, NumericError) as exc:
-                failures.append({"lattice_dim": lattice.dim_link, "trial": trial, "error": str(exc)})
-                continue
-            err = _poly_distance(got, c0)
-            if err > worst:
-                worst = err
-                worst_case = {"lattice_dim": lattice.dim_link, "trial": trial, "error": err}
+    for lattice in ALGEBRA_LATTICES:
+        for block in _trial_blocks(lattice, rng, samples):
+            outcomes = _round_trips(lattice, block, cokernel=True)
+            for trial in sorted(outcomes):
+                err = outcomes[trial]
+                if isinstance(err, Exception):
+                    failures.append({"lattice_dim": lattice.dim_link, "trial": trial, "error": str(err)})
+                elif err > worst:
+                    worst = err
+                    worst_case = {"lattice_dim": lattice.dim_link, "trial": trial, "error": err}
     ok = worst < 1e-10 and not failures
     return ok, {
         "max_roundtrip_error": worst,

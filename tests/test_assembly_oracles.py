@@ -118,7 +118,8 @@ def assemble_add_at(symbol, params, pairs, cod_modes):
     x = engine._cmul(weights[:, :1], units).ravel()
     y = engine._cmul(weights[:, 1:], units).ravel()
     lam2 = np.repeat(engine._doubled([mode.as_tuple() for mode, _ in params], symbol.dim), 2, axis=0)
-    keys, vals = engine._images(symbol, lam2, x, y)
+    keys, vals = engine._images(engine._stack_symbols([symbol]), lam2, x, y)
+    vals = vals[0]
     table = None if cod_modes is None else engine._doubled(cod_modes, symbol.dim)
     table, rows = engine._key_rows(keys, table)
     col, term = np.nonzero(rows >= 0)
@@ -308,11 +309,15 @@ def test_apply_T_is_bitwise_equal_to_the_convolution_loop(lattice):
 def test_batched_duality_residuals_match_the_loop(lattice):
     rng = np.random.default_rng(14)
     bandwidth = 1.5 if lattice.dim_link == 1 else 1.0
+    symbols, scalars = [], []
     for _ in range(5):
         symbol = random_symbol(lattice, rng, bandwidth)
         eta_cutoff = lattice.cutoff - math.ceil(symbol.bandwidth)
         c_poly = {key: complex(*rng.uniform(-1.0, 1.0, 2)) for key in engine._eta_modes(lattice, symbol, eta_cutoff)}
-        got = engine._duality_residuals(lattice, symbol, eta_cutoff, c_poly)
+        c_modes2 = engine._doubled(list(c_poly), lattice.dim_link)
+        stack = engine._stack_symbols([symbol])
+        full = engine._full_reach(stack, lattice, lattice.cutoff)
+        got = engine._duality_residuals(lattice, stack, full, eta_cutoff, c_modes2, np.array([list(c_poly.values())]))[0]
         want = duality_residuals_loop(lattice, symbol, eta_cutoff, c_poly)
         assert got.shape == want.shape and want.size > 0
         # both are roundoff of an exact zero (the test fields are kernel fields), so
@@ -321,6 +326,13 @@ def test_batched_duality_residuals_match_the_loop(lattice):
         scale = sum(map(abs, c_poly.values())) * sum(map(abs, symbol.d_plus.values())) \
             * sum(map(abs, symbol.d_minus.values()))
         assert np.max(np.abs(got - want)) <= np.finfo(float).eps * scale
+        symbols.append(symbol)
+        scalars.append((got, list(c_poly.values())))
+    # a stack of the five symbols gives each one's residuals bitwise
+    stack = engine._stack_symbols(symbols)
+    full = engine._full_reach(stack, lattice, lattice.cutoff)
+    got = engine._duality_residuals(lattice, stack, full, eta_cutoff, c_modes2, np.array([c for _, c in scalars]))
+    assert np.array_equal(got, np.array([alone for alone, _ in scalars]))
 
 
 @pytest.mark.parametrize("n", [28, 256, 1024])
@@ -371,13 +383,15 @@ def test_chunked_nondegeneracy_scan_matches_the_whole_grid(monkeypatch, chunk):
 def test_separable_projection_matches_the_mean_of_products():
     rng = np.random.default_rng(15)
     for dim, n in ((1, 28), (2, 28), (2, 48)):
-        values = rng.normal(size=(n,) * dim) + 1j * rng.normal(size=(n,) * dim)
+        values = rng.normal(size=(3,) + (n,) * dim) + 1j * rng.normal(size=(3,) + (n,) * dim)
         modes = engine._eta_modes(ModeLattice(dim_link=dim, offset_t=0.5, cutoff=5),
                                   SymbolData(dim=dim, d_plus={}, d_minus={(0.0,) * dim: 1.0}), 5)
-        got = engine._project_values(values, dim, n, modes)
-        want = project_values_loop(values, dim, n, modes)
-        assert list(got) == list(want)
-        assert max(abs(got[k] - want[k]) for k in want) <= 1e-15
+        got = engine._project_stack(values, n, engine._doubled(modes, dim))
+        assert got.shape == (3, len(modes))
+        assert np.array_equal(engine._significant(got), got)  # no coefficient is below the cut
+        for trial, row in zip(values, got):
+            want = project_values_loop(trial, dim, n, modes)
+            assert max(abs(c - want[key]) for key, c in zip(modes, row.tolist())) <= 1e-15
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.5])

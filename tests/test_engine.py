@@ -39,7 +39,6 @@ from diraclab.engine import (
     poly_mul,
     realified_multiplication_by_i,
 )
-from diraclab.verify import realify_field
 
 HALF1 = ModeLattice(dim_link=1, offset_t=0.5, cutoff=8)
 TRIV2 = ModeLattice(dim_link=2, offset_t=0.0, offset_s=0.0, cutoff=8)
@@ -541,7 +540,8 @@ def test_kernel_identity_exact_through_the_matrix():
     image = apply_T(sym, fld)
     assert max((abs(v) for v in image.values()), default=0.0) < 1e-13
     op = build_T_full(sym, lat, 6)
-    assert np.max(np.abs(op.matrix @ realify_field(fld, op))) < 1e-13
+    lam2, pairs = engine._field_pairs(fld, sym)
+    assert np.max(np.abs(op.matrix @ verify._realified(op.col_basis, lam2, pairs)[0])) < 1e-13
 
 
 def test_reconstruct_eta_explicit_cases():
