@@ -130,6 +130,10 @@ def _parse_symbol(obj: dict, lattice: ModeLattice, rng: np.random.Generator | No
         if rng is None:
             raise ConfigError("random symbols need a seed in the config")
         bandwidth = _as_number(spec.get("bandwidth", 1.0), "'symbol.random.bandwidth'")
+        if bandwidth > lattice.cutoff:  # before the key box, which grows with the bandwidth, is built
+            raise ConfigError(
+                f"'symbol.random.bandwidth' must be at most the lattice cutoff {lattice.cutoff}, got {bandwidth!r}"
+            )
         offsets = spec.get("offsets")
         if offsets is not None and (
             not isinstance(offsets, list)

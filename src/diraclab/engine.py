@@ -29,6 +29,16 @@ The dense matrix is built only on demand.  Grid values come from one
 separable evaluator, E_l C E_m^T, which the nondegeneracy scan runs in
 blocks of rows.
 
+Nondegeneracy scan.  rho = |d+|^2 + |d-|^2 is a trigonometric polynomial
+with integer frequencies, so it is 2pi-periodic and the double-cover grid
+holds every value twice per axis.  The scan evaluates rho cheaply from its
+coefficients on the half grid, bounds the rounding of both evaluations,
+and runs the exact grid evaluator only on the rows where the minimum can
+lie (every row when it cannot tell, as for the single-exponential torus
+symbols).  Its result, value and first location, is bitwise that of the
+whole grid; a 256^2 torus scan of a random symbol typically reads 2 of
+its 256 rows.
+
 Trial stacks.  The kernels take a leading trial axis: symbols that share
 their keys are stacked (``_SymbolStack``), and the assembler, the image
 and product kernels, the grid evaluator and the correspondence steps run
@@ -66,6 +76,7 @@ import ctypes
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +105,8 @@ def _poly_offsets(poly: TrigPoly, dim: int) -> tuple[float, ...] | None:
     for key in poly:
         if len(key) != dim:
             raise DomainError(f"symbol mode {key} has wrong dimension (expected {dim})")
+        if not all(math.isfinite(c) for c in key):
+            raise DomainError(f"symbol mode {key} has a coordinate that is not finite")
         this = tuple(c - math.floor(c) for c in key)
         if any(o not in (0.0, 0.5) for o in this):
             raise DomainError(f"symbol mode {key} is not on an integer or half-integer lattice")
@@ -115,19 +128,17 @@ def _separate(keys2: np.ndarray) -> tuple[list[np.ndarray], tuple[np.ndarray, ..
     return freqs, tuple(index)
 
 
-def _waves(freqs2: np.ndarray, n: int, sign: float = 1.0, start: int = 0, count: int | None = None) -> np.ndarray:
+def _waves(freqs2: np.ndarray, n: int, sign: float = 1.0, rows: np.ndarray | None = None) -> np.ndarray:
     """exp(sign * i * f * x) on the n-point double-cover grid, one column per frequency f = freqs2 / 2.
 
-    Only the points ``start .. start + count - 1`` (all by default); each
-    value is bitwise the same as in the full grid.
+    Only at the points ``rows`` (all by default); each value is bitwise the
+    same as in the full grid.
     """
-    points = np.arange(start, n if count is None else start + count)
+    points = np.arange(n) if rows is None else rows
     return np.exp(sign * 1j * np.outer(4.0 * math.pi * points / n, freqs2 / 2))
 
 
-def _poly_grid(
-    keys2: np.ndarray, coeffs: np.ndarray, n: int, start: int = 0, count: int | None = None
-) -> np.ndarray:
+def _poly_grid(keys2: np.ndarray, coeffs: np.ndarray, n: int, rows: np.ndarray | None = None) -> np.ndarray:
     """Pointwise values of stacked polynomials on the n-per-axis double-cover grid [0, 4pi)^dim.
 
     The polynomials share the doubled keys ``keys2``; ``coeffs`` holds one
@@ -137,21 +148,21 @@ def _poly_grid(
     torus), E_f being the n x #f matrix of exp(i f x).  The sums run over a
     few frequencies, so einsum does them: a BLAS product this thin gains
     little and leaves its worker threads spinning.  Each trial's values are
-    bitwise those of a stack of one.  ``start`` and ``count`` select a block
-    of rows (grid points on the first axis); the block's values are bitwise
-    those of the full grid.
+    bitwise those of a stack of one.  ``rows`` selects grid rows (points on
+    the first axis, ascending or not); their values are bitwise those of the
+    full grid.
     """
     freqs, index = _separate(keys2)
     grid = np.zeros((len(coeffs), *[len(f) for f in freqs]), dtype=complex)
     grid[(slice(None), *index)] = coeffs
-    out = np.einsum("il,kl...->ki...", _waves(freqs[0], n, start=start, count=count), grid)
+    out = np.einsum("il,kl...->ki...", _waves(freqs[0], n, rows=rows), grid)
     return out if keys2.shape[1] == 1 else np.einsum("kim,jm->kij", out, _waves(freqs[1], n))
 
 
-def _poly_values(poly: TrigPoly, dim: int, n: int, start: int = 0, count: int | None = None) -> np.ndarray:
+def _poly_values(poly: TrigPoly, dim: int, n: int, rows: np.ndarray | None = None) -> np.ndarray:
     """:func:`_poly_grid` of one polynomial keyed by mode tuples."""
     coeffs = np.array([list(poly.values())], dtype=complex).reshape(1, -1)
-    return _poly_grid(_doubled(list(poly), dim), coeffs, n, start, count)[0]
+    return _poly_grid(_doubled(list(poly), dim), coeffs, n, rows)[0]
 
 
 @dataclass(frozen=True)
@@ -189,24 +200,28 @@ class SymbolData:
     def nondegeneracy_minimum(self, n: int = NONDEGENERACY_GRID) -> tuple[float, tuple[float, ...]]:
         """Minimum of |d+|^2 + |d-|^2 on the sample grid, with its location.
 
-        The grid is evaluated in blocks of rows of at most
-        ``_GRID_CHUNK_POINTS`` points, so a 1024^2 torus grid never exists
-        whole.  The location is the first minimum in row-major order (the
-        first NaN, if any), as ``np.argmin`` gives on the whole grid.
+        The grid is evaluated only on the rows where the minimum can lie
+        (:func:`_candidate_rows`; every row when it cannot tell), in blocks
+        of at most ``_GRID_CHUNK_POINTS`` points, so a 1024^2 torus grid
+        never exists whole.  The result is bitwise that of the whole grid:
+        the location is the first minimum in row-major order (the first NaN,
+        if any), as ``np.argmin`` gives on the whole grid.  Value and
+        location are Python floats.
         """
-        rows = max(1, _GRID_CHUNK_POINTS // n ** (self.dim - 1))
+        cols = n ** (self.dim - 1)
+        rows = _candidate_rows(self, n)
+        block = max(1, _GRID_CHUNK_POINTS // cols)
         values, flat = [], []
-        for start in range(0, n, rows):
-            count = min(rows, n - start)
-            dp = _poly_values(self.d_plus, self.dim, n, start, count)
-            dm = _poly_values(self.d_minus, self.dim, n, start, count)
-            dens = np.abs(dp) ** 2 + np.abs(dm) ** 2
+        for start in range(0, len(rows), block):
+            part = rows[start:start + block]
+            dens = np.abs(_poly_values(self.d_plus, self.dim, n, part)) ** 2 \
+                + np.abs(_poly_values(self.d_minus, self.dim, n, part)) ** 2
             at = int(np.argmin(dens))
             values.append(dens.flat[at])
-            flat.append(start * n ** (self.dim - 1) + at)
+            flat.append(int(part[at // cols]) * cols + at % cols)
         best = int(np.argmin(values))  # first block holding the minimum
         idx = np.unravel_index(flat[best], (n,) * self.dim)
-        point = tuple(4.0 * math.pi * i / n for i in idx)
+        point = tuple(4.0 * math.pi * int(i) / n for i in idx)
         return float(values[best]), point
 
     def require_nondegenerate(self, n: int = NONDEGENERACY_GRID) -> None:
@@ -220,6 +235,124 @@ class SymbolData:
                 f"symbol violates |d+|^2 + |d-|^2 > 0 at sample point {point}"
             )
         object.__setattr__(self, "_nondegenerate_grid", n)  # memo on the frozen instance
+
+
+def _density_scale(symbol: SymbolData) -> float:
+    """M = (sum |c+|)^2 + (sum |c-|)^2, which bounds |rho| and sum |R_k|; NaN or inf for a coefficient that is."""
+    sums = [float(np.sum(np.abs(np.array(list(p.values()), dtype=complex)))) for p in (symbol.d_plus, symbol.d_minus)]
+    return sums[0] * sums[0] + sums[1] * sums[1]  # float products overflow to inf without raising
+
+
+def _density_polynomial(symbol: SymbolData) -> np.ndarray:
+    """The coefficients R of rho = |d+|^2 + |d-|^2 as a trigonometric polynomial.
+
+    |d|^2 sums c_mu conj(c_nu) e^{i (mu - nu).x} over pairs of modes, so
+    R_k sums c_mu conj(c_nu) over mu - nu = k, for d+ and d- alike.  The two
+    share one offset per axis, so every k is an integer and rho is
+    2pi-periodic.  R is a dense array over k in [-span, span] per axis (its
+    shape is 2 * span + 1); it is finite when 2M (:func:`_density_scale`) is.
+    """
+    ks, terms = [], []
+    for part in (symbol.d_plus, symbol.d_minus):
+        if part:
+            keys = np.array(list(part), dtype=float)
+            c = np.array(list(part.values()), dtype=complex)
+            ks.append((keys[:, None] - keys[None]).reshape(-1, symbol.dim))  # exact: one offset per axis
+            terms.append(np.multiply.outer(c, c.conj()).ravel())
+    k = np.concatenate(ks).astype(np.int64)
+    span = np.abs(k).max(axis=0)
+    shape = tuple(int(x) for x in 2 * span + 1)
+    at = np.ravel_multi_index(tuple((k + span).T), shape)
+    value = np.concatenate(terms)
+    size = math.prod(shape)
+    return (np.bincount(at, value.real, size) + 1j * np.bincount(at, value.imag, size)).reshape(shape)
+
+
+def _density_bound(symbol: SymbolData, M: float) -> float:
+    """delta: a bound on |E - C| at every grid point, E the exact grid value of rho and C the cheap one."""
+    # Rounding bound.  Let u = eps / 2, W the bandwidth, T the number of
+    # terms of d+ and d-, and S = sum |c| for one part.  Relative to the sum
+    # of the moduli of what they combine, a complex product errs by < 3u and
+    # a sum of m terms by < m u.
+    # E (exact grid): a wave exp(i f x) takes its phase from four roundings
+    # (pi, times the point, over n, times f) of a phase below 4 pi W, so it
+    # errs by < (51 W + 3) u.  Two waves, two products and sums of at most
+    # 2T terms put d off by < (102 W + 2T + 12) u S, so |d|^2 by 2.01 S times
+    # that, and abs, square and sum add 6 u rho: |E - rho| < (206 W + 4.1 T + 31) u M.
+    # C (cheap pass): sum |R~_k - R_k| < (T + 3) u M, also with R~_{-k} read
+    # as conj(R~_k).  A table entry cos or sin(x~_j) errs by < 27 u (three
+    # roundings of a phase below 2 pi, and 4 ulp), a table wave cos + i sin
+    # by < 39 u, and the sums run over at most 4W + 1 frequencies per axis:
+    # |C - rho| < (8 W + T + 87) u M.
+    # So |E - C| < (107 W + 2.6 T + 59) eps M < delta = 64 (T + 4W + 1) eps M.
+    # Adding tiny to M covers gradual underflow, where an operation errs by
+    # at most eps * tiny / 2.  A larger delta only adds rows: the scan's
+    # result does not depend on it.
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    terms = len(symbol.d_plus) + len(symbol.d_minus)
+    return 64.0 * (terms + 4.0 * symbol.bandwidth + 1.0) * eps * (M + tiny)
+
+
+def _half_grid_density(R: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """The cheap values of rho = sum_k R_k e^{i k.x} on the (n/2)^dim half grid, one block of rows at a time.
+
+    The half grid is the first half of the double-cover grid's points per
+    axis, x = 4 pi p / n for p < n/2.  Real arithmetic and einsum, no BLAS
+    product, and blocks of rows of at most ``_GRID_CHUNK_POINTS`` points.
+    Since k is an integer, k x = 2 pi (k p mod n/2) / (n/2), so one
+    period's table of cos and sin serves every frequency.  R_{-k} =
+    conj(R_k) pairs the first axis' k0 with -k0:
+    rho = Re I_0 + 2 sum_{k0 > 0} (cos(k0 x) Re I_k0 - sin(k0 x) Im I_k0),
+    with I_k0(y) = sum_k1 R_{k0, k1} e^{i k1 y}.
+    """
+    half = n // 2
+    points = np.arange(half)
+    x = 4.0 * math.pi * points / n
+    cos, sin = np.cos(x), np.sin(x)
+    s0 = R.shape[0] // 2
+    inner = R[s0:]
+    if R.ndim == 2:
+        at = np.outer(np.arange(R.shape[1]) - R.shape[1] // 2, points) % half
+        inner = np.einsum("km,mj->kj", inner, cos[at] + 1j * sin[at])
+    weights = np.concatenate([inner[:1].real, 2.0 * inner[1:].real, -2.0 * inner[1:].imag])
+    at = np.outer(points, np.concatenate([np.arange(s0 + 1), np.arange(1, s0 + 1)])) % half
+    left = np.concatenate([cos[at[:, :s0 + 1]], sin[at[:, s0 + 1:]]], axis=1)
+    block = max(1, _GRID_CHUNK_POINTS // half ** (R.ndim - 1))
+    for start in range(0, half, block):
+        yield np.einsum("ik,k...->i...", left[start:start + block], weights)
+
+
+def _candidate_rows(symbol: SymbolData, n: int) -> np.ndarray:
+    """The grid rows that can hold the minimum of rho on the n-point grid, ascending.
+
+    rho is 2pi-periodic, so on the double-cover grid (n even) rows i and
+    i + n/2 carry the same true values.  A cheap pass evaluates rho from
+    its coefficients on the half grid (:func:`_half_grid_density`).  The
+    cheap value C and the exact grid value E of a point differ by at most
+    delta (:func:`_density_bound`), so the exact minimum, at p, has
+    C(p) <= E(p) + delta <= E(q) + delta <= C(q) + 2 delta for every q: it
+    lies on a row holding a cheap value within 2 delta of the cheap
+    minimum, or on the double-cover image of one.  Those rows are returned;
+    every exact tie among minima lies on them, so the first one still wins.
+
+    Every row is returned when n is odd, when a coefficient or 2M is not
+    finite, when rho has only the zero frequency (every point ties, as for one
+    exponential per part), or when the candidates exceed half the rows.
+    """
+    everything = np.arange(n)
+    if n % 2:
+        return everything
+    M = _density_scale(symbol)
+    if not math.isfinite(2.0 * M):
+        return everything
+    R = _density_polynomial(symbol)
+    if R.size == 1:
+        return everything
+    row_min = np.concatenate([b.reshape(len(b), -1).min(axis=1) for b in _half_grid_density(R, n)])
+    near = np.flatnonzero(row_min <= row_min.min() + 2.0 * _density_bound(symbol, M))
+    if 4 * near.size > n:
+        return everything
+    return np.concatenate([near, near + n // 2])
 
 
 def poly_conj(poly: TrigPoly) -> TrigPoly:

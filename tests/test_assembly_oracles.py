@@ -204,6 +204,7 @@ def axis_loop(offset, bound, slack):
 
 
 def random_symbol_loop(lattice, rng, bandwidth, min_density=1e-2, grid_n=256, max_tries=100):
+    """The draw loop on the whole-grid scan; returns the symbol and how many draws it rejected."""
     axis_modes = [axis_loop(off, bandwidth, 1e-9) for off in lattice.offsets]
     if len(axis_modes) == 1:
         keys = [(x,) for x in axis_modes[0]]
@@ -218,10 +219,10 @@ def random_symbol_loop(lattice, rng, bandwidth, min_density=1e-2, grid_n=256, ma
             out[key] = r * complex(math.cos(phi), math.sin(phi))
         return out
 
-    for _ in range(max_tries):
+    for rejected in range(max_tries):
         symbol = SymbolData(dim=lattice.dim_link, d_plus=draw(), d_minus=draw())
-        if symbol.nondegeneracy_minimum(grid_n)[0] >= min_density:
-            return symbol
+        if nondegeneracy_minimum_whole(symbol, grid_n)[0] >= min_density:
+            return symbol, rejected
     raise AssertionError("oracle found no symbol")
 
 
@@ -380,6 +381,80 @@ def test_chunked_nondegeneracy_scan_matches_the_whole_grid(monkeypatch, chunk):
     assert circle.nondegeneracy_minimum(256) == nondegeneracy_minimum_whole(circle, 256)
 
 
+def assert_same_minimum(symbol, n):
+    got, want = symbol.nondegeneracy_minimum(n), nondegeneracy_minimum_whole(symbol, n)
+    assert type(got[0]) is float and all(type(x) is float for x in got[1])
+    assert got[0].hex() == want[0].hex() and got[1] == want[1]
+
+
+def pruning_symbols():
+    """Seeded torus symbols at every offset and three bandwidths, circle symbols and the all-rows cases."""
+    rng = np.random.default_rng(23)
+    symbols = [random_symbol(lattice, rng, bandwidth) for lattice in TORI for bandwidth in (1.0, 1.5, 2.7)]
+    symbols += [random_symbol(lattice, rng, bandwidth) for lattice in CIRCLES[::3] for bandwidth in (1.0, 3.0)]
+    return symbols + [
+        SymbolData(dim=2, d_plus={(0.0, 1.0): 0.5}, d_minus={(0.0, 2.0): 1.0, (0.0, 0.0): -0.7j}),  # t-independent
+        SymbolData(dim=2, d_plus={(1.5, -0.5): 0.3 + 0.4j}, d_minus={(0.5, 2.5): -1.0}),  # constant rho
+        SymbolData(dim=2, d_plus={(0.0, 0.0): 1.0, (1.0, 1.0): math.nan}, d_minus={(0.0, 1.0): 0.5}),
+        SymbolData(dim=1, d_plus={(0.5,): 1.0, (1.5,): math.nan}, d_minus={}),
+        SymbolData(dim=2, d_plus={(0.0, 0.0): 1.0, (1.0, 0.0): 1e308}, d_minus={(0.0, 1.0): 0.5}),  # rho overflows
+        SymbolData(dim=1, d_plus={(0.0,): 1e308, (1.0,): 1.0}, d_minus={(2.0,): 2.0}),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the 1e308 coefficients
+@pytest.mark.parametrize("n", [63, 64, 100, 256, 1024])
+def test_pruned_nondegeneracy_scan_matches_the_whole_grid(n):
+    for symbol in pruning_symbols():
+        assert_same_minimum(symbol, n)
+
+
+def test_pruned_scan_reads_every_row_when_it_cannot_tell():
+    symbols = pruning_symbols()
+    flat, constant, nan, _, huge, _ = symbols[-6:]
+    for symbol in (flat, constant, nan, huge):
+        assert np.array_equal(engine._candidate_rows(symbol, 64), np.arange(64))
+    assert np.array_equal(engine._candidate_rows(symbols[0], 63), np.arange(63))
+    assert len(engine._candidate_rows(symbols[0], 64)) < 32
+    assert nondegeneracy_minimum_whole(nan, 64)[1] == (0.0, 0.0)  # the first NaN
+
+
+def near_tie():
+    """Zeros of d+ on grid rows 2 and 12 of a 64-point torus grid, lifted by a constant |d-|^2.
+
+    Their exact grid values differ by one ulp, with the smaller on row 12;
+    the cheap pass orders them the other way.
+    """
+    z1, z2 = (complex(math.cos(4 * math.pi * p / 64), math.sin(4 * math.pi * p / 64)) for p in (2, 12))
+    d_plus = {(0.0, 0.0): 1.3 * z1 * z2, (1.0, 0.0): -1.3 * (z1 + z2), (2.0, 0.0): 1.3}
+    return SymbolData(dim=2, d_plus=d_plus, d_minus={(0.0, 1.0): 3e-8})
+
+
+def test_pruned_scan_keeps_a_near_tie_in_distant_rows(monkeypatch):
+    symbol = near_tie()
+    value, point = nondegeneracy_minimum_whole(symbol, 64)
+    assert round(point[0] * 64 / (4 * math.pi)) == 12
+    assert_same_minimum(symbol, 64)
+    # without the rounding slack the cheap pass keeps only row 2, one ulp too high
+    monkeypatch.setattr(engine, "_density_bound", lambda symbol, M: 0.0)
+    got = symbol.nondegeneracy_minimum(64)
+    assert got[0] == value + np.spacing(value) and round(got[1][0] * 64 / (4 * math.pi)) == 2
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_cheap_density_stays_well_inside_the_rounding_bound(n):
+    half = n // 2
+    for symbol in pruning_symbols()[:-6] + [near_tie()]:
+        cheap = np.concatenate(list(engine._half_grid_density(engine._density_polynomial(symbol), n)))
+        exact = np.abs(engine._poly_values(symbol.d_plus, symbol.dim, n)) ** 2 \
+            + np.abs(engine._poly_values(symbol.d_minus, symbol.dim, n)) ** 2
+        images = [exact[i:i + half] for i in (0, half)]  # both double-cover images of each half-grid row
+        if symbol.dim == 2:
+            images = [image[:, j:j + half] for image in images for j in (0, half)]
+        worst = max(np.max(np.abs(image - cheap)) for image in images)
+        assert worst < engine._density_bound(symbol, engine._density_scale(symbol)) / 8
+
+
 def test_separable_projection_matches_the_mean_of_products():
     rng = np.random.default_rng(15)
     for dim, n in ((1, 28), (2, 28), (2, 48)):
@@ -405,10 +480,15 @@ def test_one_coordinate_enumerator_matches_the_slack_loops(offset, bound):
 @pytest.mark.parametrize("lattice", [CIRCLES[0], CIRCLES[3], TORI[0], TORI[3]], ids=str)
 @pytest.mark.parametrize("bandwidth", [1.0, 1.5, 2.7])
 def test_random_symbol_draws_are_unchanged(lattice, bandwidth):
-    for seed in (0, 1, 7):
-        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = random_symbol(lattice, rng_new, bandwidth)
-        want = random_symbol_loop(lattice, rng_old, bandwidth)
-        assert list(got.d_plus.items()) == list(want.d_plus.items())
-        assert list(got.d_minus.items()) == list(want.d_minus.items())
-        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    strict = 0.3 if lattice.dim_link == 2 else 1.0  # some draws fail it, so both branches are compared
+    rejected = {1e-2: 0, strict: 0}
+    for min_density in rejected:
+        for seed in (0, 1, 7):
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_symbol(lattice, rng_new, bandwidth, min_density=min_density)
+            want, skipped = random_symbol_loop(lattice, rng_old, bandwidth, min_density=min_density)
+            rejected[min_density] += skipped
+            assert list(got.d_plus.items()) == list(want.d_plus.items())
+            assert list(got.d_minus.items()) == list(want.d_minus.items())
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    assert rejected[strict] > 0

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from diraclab import engine
 from diraclab.cli import main
 
 
@@ -286,6 +288,41 @@ def test_malformed_random_symbol_is_input_error(tmp_path, capsys, command, spec,
     config = dict(INDEX_3D, symbol={"random": spec}, seed=3)
     config.pop("expect_index_real")
     assert named in _run_expect_input_error(tmp_path, capsys, command, config)
+
+
+@pytest.mark.parametrize("command", ["index", "sweep"])
+@pytest.mark.parametrize("coordinate", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_mode_coordinate_is_input_error(tmp_path, capsys, command, coordinate):
+    config = dict(INDEX_3D, symbol={"d_minus": [{"mode": [coordinate], "re": 1.0}]})
+    config.pop("expect_index_real")
+    assert "not finite" in _run_expect_input_error(tmp_path, capsys, command, config)
+
+
+@pytest.mark.parametrize("command", ["index", "sweep"])
+@pytest.mark.parametrize(
+    "lattice, bandwidth",
+    [({"dim_link": 1, "offset_t": 0.5, "cutoff": 32}, 1e308),
+     ({"dim_link": 2, "offset_t": 0.5, "offset_s": 0.5, "cutoff": 8}, 1e6)],
+    ids=["overflowing", "huge-torus-box"],
+)
+def test_random_bandwidth_above_the_lattice_cutoff_is_input_error(tmp_path, capsys, monkeypatch, command, lattice,
+                                                                  bandwidth):
+    def no_keys(*args):  # a missing check fails here instead of enumerating the box
+        raise AssertionError("symbol keys were built")
+
+    monkeypatch.setattr(engine, "box_keys", no_keys)
+    config = dict(INDEX_3D, lattice=lattice, symbol={"random": {"bandwidth": bandwidth}}, seed=3)
+    config.pop("expect_index_real")
+    err = _run_expect_input_error(tmp_path, capsys, command, config)
+    assert "'symbol.random.bandwidth' must be at most the lattice cutoff" in err
+
+
+def test_degenerate_symbol_message_names_a_plain_sample_point(tmp_path, capsys):
+    config = dict(INDEX_3D, lattice={"dim_link": 1, "offset_t": 0.0, "cutoff": 32},
+                  symbol={"d_plus": [{"mode": [0.0], "re": 1.0}, {"mode": [1.0], "re": -1.0}]})
+    config.pop("expect_index_real")
+    err = _run_expect_input_error(tmp_path, capsys, "index", config)
+    assert err == "error: symbol violates |d+|^2 + |d-|^2 > 0 at sample point (0.0,)\n"
 
 
 @pytest.mark.parametrize("command", ["index", "sweep"])

@@ -9,6 +9,7 @@ bit for bit and leave the generator in the same state; the suite payloads
 must serialize to the same JSON.
 """
 
+import gc
 import json
 import math
 import tracemalloc
@@ -470,7 +471,10 @@ def test_algebra_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):
     """The trial blocks bound what a suite holds: 200 samples peak within 0.25 MB of 50.
 
     The symbols cycle through a fixed pool, so neither the draws nor the
-    symbol memo (bounded on its own) grow with the sample count.
+    symbol memo (bounded on its own) grow with the sample count.  Each run
+    starts after a full collection: it empties the interpreter's free
+    lists, whose reuse tracemalloc does not count, so the two runs start
+    alike whatever ran before them.
     """
     pool = {}
 
@@ -487,6 +491,7 @@ def test_algebra_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):
         suite({"samples": 50}, np.random.default_rng(1))  # fill the pool and the mode caches
         peaks = []
         for samples in (50, 200):
+            gc.collect()
             tracemalloc.start()
             try:
                 suite({"samples": samples}, np.random.default_rng(1))
