@@ -6,6 +6,21 @@ pairings and Green-identity check, and SVD-stabilized index computation
 for the realified conjugate-linear boundary operator.
 """
 
+import os
+
+# OpenBLAS reads this once, when numpy loads it, so it must be set before the
+# first submodule import. Each OpenBLAS worker busy-waits (sched_yield) for
+# 2**OPENBLAS_THREAD_TIMEOUT cycles before it sleeps: 2**28, about 0.1 s of a
+# core, by default. That spin runs after the pool starts inside `import numpy`
+# and after every threaded call, and a short diraclab process pays it as CPU
+# time. 4 is OpenBLAS's minimum. On 2 cores with OpenBLAS 0.3.31 a bare
+# `import numpy` took 0.17 s by default and 0.10 s with it, and the benchmark's
+# `ladders` pass fell from 2.77 s to 1.79 s of CPU (BENCH_25.json). The thread
+# count and the split of work are unchanged, so threaded results stay bitwise
+# and a 2178x2176 dense SVD still uses both cores. A value set by the user is
+# kept.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .boundary import (
     BoundaryField,
     SubspaceTag,

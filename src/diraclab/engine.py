@@ -669,15 +669,6 @@ class RealifiedOperator:
         return _dense(self.shape, self.row, self.col, self.value)
 
 
-def realified_multiplication_by_i(n_complex: int) -> np.ndarray:
-    """Realified block matrix of z -> i z on n complex coordinates."""
-    J = np.zeros((2 * n_complex, 2 * n_complex))
-    for k in range(n_complex):
-        J[2 * k, 2 * k + 1] = -1.0
-        J[2 * k + 1, 2 * k] = 1.0
-    return J
-
-
 _UNIT_PAIRS = {"zero1": (1.0, 0.0), "comp1": (1.0, 0.0), "zero2": (0.0, 1.0), "comp2": (0.0, 1.0)}
 
 

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diraclab
 from diraclab import engine
 from diraclab.cli import main
 
@@ -435,3 +440,38 @@ def test_unusable_seed_or_output_path_is_input_error(tmp_path, capsys, monkeypat
     err = _run_expect_input_error(tmp_path, capsys, command, config, [unblock(arg) for arg in extra])
     assert named in err
     assert err.count("\n") == 1
+
+
+# Records OPENBLAS_THREAD_TIMEOUT at the moment numpy is first imported, which
+# is when OpenBLAS reads it.
+_THREAD_TIMEOUT_PROBE = """
+import json, os, sys
+
+seen = []
+
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+
+sys.meta_path.insert(0, Probe())
+import diraclab.cli
+
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("inherited, expected", [(None, "4"), ("20", "20")])
+def test_openblas_thread_timeout_is_set_before_numpy_loads(inherited, expected):
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_THREAD_TIMEOUT"}
+    if inherited is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = inherited
+    env["PYTHONPATH"] = str(Path(diraclab.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _THREAD_TIMEOUT_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [expected]

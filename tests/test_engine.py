@@ -37,7 +37,6 @@ from diraclab.engine import (
     codomain_window,
     poly_conj,
     poly_mul,
-    realified_multiplication_by_i,
 )
 
 HALF1 = ModeLattice(dim_link=1, offset_t=0.5, cutoff=8)
@@ -160,6 +159,15 @@ def test_build_T_mixed_symbol_matches_oracle_entrywise():
         for ri, (rkey, rpart) in enumerate(op.row_basis):
             want = oracle[rkey].real if rpart == "re" else oracle[rkey].imag
             assert op.matrix[ri, ci] == pytest.approx(want, abs=1e-12)
+
+
+def realified_multiplication_by_i(n_complex: int) -> np.ndarray:
+    """Realified block matrix of z -> i z on n complex coordinates."""
+    J = np.zeros((2 * n_complex, 2 * n_complex))
+    for k in range(n_complex):
+        J[2 * k, 2 * k + 1] = -1.0
+        J[2 * k + 1, 2 * k] = 1.0
+    return J
 
 
 def test_conjugation_block_structure_under_multiplication_by_i():
